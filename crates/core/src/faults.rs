@@ -4,7 +4,7 @@
 //! cache integrity — is exactly the kind of code that silently rots
 //! because nothing exercises it in an ordinary run. This module plants
 //! cheap hooks at the fault sites (cell attempts, cache writes, journal
-//! writes, worker loops) that do nothing unless a [`FaultPlan`] is
+//! writes, worker threads) that do nothing unless a [`FaultPlan`] is
 //! installed, and inject *deterministic* failures when one is:
 //!
 //! * **cell panics / hangs** — selected by a seeded hash of the workload
@@ -18,13 +18,7 @@
 //!   simulating a crash landing mid-entry before atomic writes existed;
 //! * **kill-after** — the process calls [`std::process::abort`] after N
 //!   journal checkpoints, a reproducible stand-in for SIGKILL in
-//!   crash/resume tests;
-//! * **distributed modes** — `worker-kill-after` aborts a `dmdc worker`
-//!   after N completed cells, `drop-heartbeats` silences its heartbeat
-//!   thread, `stale-claim` delays its first completion past the lease
-//!   TTL, and `partial-upload` truncates every Nth published result —
-//!   together they exercise every reclaim path in
-//!   [`distrib`](crate::distrib).
+//!   crash/resume tests.
 //!
 //! Plans are spelled as compact `key=value` strings (see
 //! [`FaultPlan::parse`]) so the CLI (`dmdc ... --inject-faults ...`), CI
@@ -68,27 +62,10 @@ pub struct FaultPlan {
     pub worker_panic: bool,
     /// Abort the process after this many journal checkpoints (0 = off).
     pub kill_after: u64,
-    /// Distributed mode: abort a `dmdc worker` process after it has
-    /// completed this many cells (0 = off) — a reproducible kill -9
-    /// mid-run, forcing the coordinator to reclaim the forfeited lease.
-    pub worker_kill_after: u64,
-    /// Distributed mode: the worker's heartbeat thread goes silent, so
-    /// its leases expire under it even though it keeps executing.
-    pub drop_heartbeats: bool,
-    /// Distributed mode: the worker sleeps this long (ms) before
-    /// completing its first cell — past a short lease TTL, the completion
-    /// arrives from a stale lease holder after the cell was re-issued.
-    pub stale_claim_ms: u64,
-    /// Distributed mode: truncate every Nth freshly written cache entry
-    /// to half (0 = off) — a partial result upload the coordinator must
-    /// detect by unsealing and re-issue.
-    pub partial_upload_period: u64,
 
     cache_writes: AtomicU64,
     journal_writes: AtomicU64,
     worker_fired: AtomicBool,
-    distrib_completed: AtomicU64,
-    stale_claim_fired: AtomicBool,
 }
 
 impl FaultPlan {
@@ -96,8 +73,7 @@ impl FaultPlan {
     ///
     /// ```text
     /// seed=7,panic=2,panic-attempts=9,hang=3,hang-ms=200,
-    /// corrupt=2,truncate=2,worker-panic=1,kill-after=4,
-    /// worker-kill-after=3,drop-heartbeats=1,stale-claim=400,partial-upload=2
+    /// corrupt=2,truncate=2,worker-panic=1,kill-after=4
     /// ```
     ///
     /// Unknown keys are rejected so a typo cannot silently disable the
@@ -125,10 +101,6 @@ impl FaultPlan {
                 "truncate" => plan.truncate_period = n,
                 "worker-panic" => plan.worker_panic = n != 0,
                 "kill-after" => plan.kill_after = n,
-                "worker-kill-after" => plan.worker_kill_after = n,
-                "drop-heartbeats" => plan.drop_heartbeats = n != 0,
-                "stale-claim" => plan.stale_claim_ms = n,
-                "partial-upload" => plan.partial_upload_period = n,
                 _ => return Err(format!("unknown fault key '{key}'")),
             }
         }
@@ -185,17 +157,14 @@ pub fn on_worker_cell(index: usize) {
 
 /// Hook: a sealed cache entry was just renamed into place. With
 /// `corrupt=N`, every Nth entry gets one byte flipped, preserving length
-/// (a checksum-mismatch quarantine, not a truncation). With
-/// `partial-upload=N`, every Nth entry is cut in half instead — the
-/// distributed worker's "result upload died midway", which the
-/// coordinator must catch by unsealing and re-issue the lease for.
+/// (a checksum-mismatch quarantine, not a truncation).
 pub fn on_cache_entry_written(path: &Path) {
     let Some(plan) = active() else { return };
-    if plan.corrupt_period == 0 && plan.partial_upload_period == 0 {
+    if plan.corrupt_period == 0 {
         return;
     }
     let n = plan.cache_writes.fetch_add(1, Ordering::Relaxed);
-    if plan.corrupt_period > 0 && (n + plan.seed) % plan.corrupt_period == 0 {
+    if (n + plan.seed) % plan.corrupt_period == 0 {
         if let Ok(mut bytes) = std::fs::read(path) {
             if let Some(b) = bytes.last_mut() {
                 *b ^= 0x01;
@@ -203,45 +172,6 @@ pub fn on_cache_entry_written(path: &Path) {
             }
         }
     }
-    if plan.partial_upload_period > 0 && (n + plan.seed) % plan.partial_upload_period == 0 {
-        if let Ok(bytes) = std::fs::read(path) {
-            let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
-        }
-    }
-}
-
-/// Hook: a distributed worker just completed (and published) one cell.
-/// With `worker-kill-after=N`, the process aborts after the Nth — the
-/// reproducible kill -9 the distributed recovery tests lean on.
-pub fn on_distrib_cell_done() {
-    let Some(plan) = active() else { return };
-    if plan.worker_kill_after == 0 {
-        return;
-    }
-    let n = plan.distrib_completed.fetch_add(1, Ordering::Relaxed) + 1;
-    if n >= plan.worker_kill_after {
-        eprintln!("injected fault: worker aborting after {n} completed cells");
-        std::process::abort();
-    }
-}
-
-/// Hook: should the distributed worker's heartbeat thread stay silent?
-/// (`drop-heartbeats=1` — leases expire under a live worker.)
-pub fn heartbeats_dropped() -> bool {
-    active().map(|p| p.drop_heartbeats).unwrap_or(false)
-}
-
-/// Hook: one-shot stale-claim delay in milliseconds, taken by the
-/// distributed worker before completing its first cell. With a lease TTL
-/// shorter than the delay, the completion arrives from an expired lease
-/// holder — the coordinator must reject it as stale while the re-issued
-/// lease produces the result.
-pub fn take_stale_claim_ms() -> Option<u64> {
-    let plan = active()?;
-    if plan.stale_claim_ms == 0 || plan.stale_claim_fired.swap(true, Ordering::Relaxed) {
-        return None;
-    }
-    Some(plan.stale_claim_ms)
 }
 
 /// Hook: a journal checkpoint was just written. Every Nth entry is cut
@@ -269,8 +199,7 @@ mod tests {
     fn parse_accepts_full_spec_and_rejects_typos() {
         let plan = FaultPlan::parse(
             "seed=7,panic=2,panic-attempts=9,hang=3,hang-ms=200,corrupt=2,truncate=2,\
-             worker-panic=1,kill-after=4,worker-kill-after=3,drop-heartbeats=1,\
-             stale-claim=400,partial-upload=2",
+             worker-panic=1,kill-after=4",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -282,11 +211,16 @@ mod tests {
         assert_eq!(plan.truncate_period, 2);
         assert!(plan.worker_panic);
         assert_eq!(plan.kill_after, 4);
-        assert_eq!(plan.worker_kill_after, 3);
-        assert!(plan.drop_heartbeats);
-        assert_eq!(plan.stale_claim_ms, 400);
-        assert_eq!(plan.partial_upload_period, 2);
         assert!(FaultPlan::parse("panics=1").is_err());
+        for key in [
+            "worker-kill-after",
+            "drop-heartbeats",
+            "stale-claim",
+            "partial-upload",
+        ] {
+            let err = FaultPlan::parse(&format!("{key}=1")).unwrap_err();
+            assert_eq!(err, format!("unknown fault key '{key}'"));
+        }
         assert!(FaultPlan::parse("panic").is_err());
         assert!(FaultPlan::parse("panic=x").is_err());
     }

@@ -43,7 +43,6 @@ mod bloom;
 pub mod cache;
 pub mod cell;
 mod checking_queue;
-pub mod distrib;
 mod dmdc;
 pub mod experiments;
 pub mod faults;

@@ -37,12 +37,6 @@ pub enum RecoveryKind {
     /// A cell was served from a resumed run's journal instead of being
     /// re-simulated.
     CellResumed,
-    /// A distributed worker's lease expired (missed heartbeats, death,
-    /// hang) and the cell was re-issued to another worker.
-    LeaseReclaimed,
-    /// A cell was poisoned — enough distinct workers died holding its
-    /// lease — and quarantined instead of wedging the run.
-    CellPoisoned,
 }
 
 impl RecoveryKind {
@@ -55,8 +49,6 @@ impl RecoveryKind {
             RecoveryKind::JournalDropped => "journal-dropped",
             RecoveryKind::WorkerLost => "worker-lost",
             RecoveryKind::CellResumed => "cell-resumed",
-            RecoveryKind::LeaseReclaimed => "lease-reclaimed",
-            RecoveryKind::CellPoisoned => "cell-poisoned",
         }
     }
 }
@@ -80,8 +72,6 @@ static CACHE_QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static JOURNAL_DROPPED: AtomicU64 = AtomicU64::new(0);
 static WORKERS_LOST: AtomicU64 = AtomicU64::new(0);
 static CELLS_RESUMED: AtomicU64 = AtomicU64::new(0);
-static LEASES_RECLAIMED: AtomicU64 = AtomicU64::new(0);
-static CELLS_POISONED: AtomicU64 = AtomicU64::new(0);
 
 /// Totals per fault class since the last [`take_events`]-independent
 /// [`reset`]. Snapshot via [`counters`].
@@ -99,10 +89,6 @@ pub struct RecoveryCounters {
     pub workers_lost: u64,
     /// Cells replayed from a resumed run's journal.
     pub cells_resumed: u64,
-    /// Distributed leases that expired and were re-issued.
-    pub leases_reclaimed: u64,
-    /// Cells poisoned after enough distinct workers died holding them.
-    pub cells_poisoned: u64,
 }
 
 impl RecoveryCounters {
@@ -121,8 +107,6 @@ pub fn record(kind: RecoveryKind, subject: impl Into<String>, detail: impl Into<
         RecoveryKind::JournalDropped => &JOURNAL_DROPPED,
         RecoveryKind::WorkerLost => &WORKERS_LOST,
         RecoveryKind::CellResumed => &CELLS_RESUMED,
-        RecoveryKind::LeaseReclaimed => &LEASES_RECLAIMED,
-        RecoveryKind::CellPoisoned => &CELLS_POISONED,
     }
     .fetch_add(1, Ordering::Relaxed);
     let mut events = EVENTS.lock().expect("recovery ledger poisoned");
@@ -144,8 +128,6 @@ pub fn counters() -> RecoveryCounters {
         journal_dropped: JOURNAL_DROPPED.load(Ordering::Relaxed),
         workers_lost: WORKERS_LOST.load(Ordering::Relaxed),
         cells_resumed: CELLS_RESUMED.load(Ordering::Relaxed),
-        leases_reclaimed: LEASES_RECLAIMED.load(Ordering::Relaxed),
-        cells_poisoned: CELLS_POISONED.load(Ordering::Relaxed),
     }
 }
 
@@ -164,8 +146,6 @@ pub fn reset() {
         &JOURNAL_DROPPED,
         &WORKERS_LOST,
         &CELLS_RESUMED,
-        &LEASES_RECLAIMED,
-        &CELLS_POISONED,
     ] {
         c.store(0, Ordering::Relaxed);
     }
@@ -174,15 +154,13 @@ pub fn reset() {
 /// Renders the counters as the `--profile` recovery line.
 pub fn render(c: &RecoveryCounters) -> String {
     format!(
-        "[profile] recovery: {} retries, {} cell failures, {} cache quarantined, {} journal dropped, {} workers lost, {} cells resumed, {} leases reclaimed, {} cells poisoned",
+        "[profile] recovery: {} retries, {} cell failures, {} cache quarantined, {} journal dropped, {} workers lost, {} cells resumed",
         c.retries,
         c.cell_failures,
         c.cache_quarantined,
         c.journal_dropped,
         c.workers_lost,
         c.cells_resumed,
-        c.leases_reclaimed,
-        c.cells_poisoned,
     )
 }
 

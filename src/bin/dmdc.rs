@@ -8,8 +8,6 @@
 //! dmdc experiment <id>|ablations|all [--format text|json|csv] [--no-cache]
 //! dmdc asm path/to/program.s                  # assemble + emulate a file
 //! dmdc serve [--addr 127.0.0.1:8181] [--state-dir DIR] [--quota N]
-//! dmdc suite --policy dmdc-global --distrib --workers 3   # worker fleet
-//! dmdc worker --connect 127.0.0.1:9000                    # join a fleet
 //! dmdc submit --workload histo --policy dmdc-global [--wait]
 //! dmdc status [--job job-1]                   # poll the daemon
 //! dmdc metrics                                # service counters
@@ -27,7 +25,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dmdc::core::cache::{default_cache_dir, default_fingerprint, CellCache, CheckpointStore};
-use dmdc::core::distrib::{self, DistribOptions, PlanDescriptor};
 use dmdc::core::experiments::{self, PolicyKind};
 use dmdc::core::faults::{self, FaultPlan};
 use dmdc::core::fuzz::{self, FuzzOptions};
@@ -68,7 +65,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         Some("asm") => cmd_asm(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
@@ -88,15 +84,10 @@ USAGE:
   dmdc run --resume <run-id>
   dmdc suite --policy <name> [--config N] [--scale S] [--jobs N]
            [--format text|json|csv] [--no-cache] [--profile]
-           [--run-id ID] [--retries N] [--cell-timeout MS]
-           [--sampled|--exact] [--distrib [--workers N] [--lease-ttl MS]
-           [--poison-after N] [--grace MS] [--bind ADDR]]
+           [--run-id ID] [--retries N] [--cell-timeout MS] [--sampled|--exact]
   dmdc experiment <id|ablations|all> [--scale S] [--jobs N]
            [--format text|json|csv] [--no-cache] [--profile]
-           [--run-id ID] [--retries N] [--cell-timeout MS]
-           [--sampled|--exact] [--distrib [--workers N] [--lease-ttl MS]
-           [--poison-after N] [--grace MS] [--bind ADDR]]
-  dmdc worker --connect <addr> [--id NAME] [--inject-faults SPEC]
+           [--run-id ID] [--retries N] [--cell-timeout MS] [--sampled|--exact]
   dmdc asm <file.s>
   dmdc fuzz [--seed N] [--budget N] [--policy <name>] [--config N]
            [--out DIR] [--threads N]
@@ -175,24 +166,6 @@ journal replay counters and the recovery ledger (for suite/experiment:
 aggregated over all runs, printed to stderr so stdout stays
 byte-identical).
 
-Distributed execution: `--distrib` shards a suite or experiment across a
-lease-based worker fleet. The coordinator publishes the cell list as
-durable sealed lease records, spawns --workers local `dmdc worker`
-processes (0 with external workers attaching at the printed --bind
-address), and workers claim leases over HTTP, execute cells through the
-ordinary engine, publish into the shared content-addressed cache and
-heartbeat. A lease not heartbeated within --lease-ttl is reclaimed and
-re-issued with exponential backoff; a cell that killed --poison-after
-distinct workers is quarantined like any other cell failure. When the
-fleet goes quiet for --grace (default 2x the TTL) the coordinator
-degrades to local serial execution, so the run terminates even with
-every worker lost. The final report is assembled from the store in spec
-order and is byte-identical to the single-process run. --inject-faults
-gains distributed keys, forwarded to spawned workers:
-'worker-kill-after=N' (abort after N cells), 'drop-heartbeats=1',
-'stale-claim=MS' (sit on the first lease past its TTL), and
-'partial-upload=N' (truncate every Nth store write).
-
 Fault tolerance: each cell runs under panic isolation; a panicking or
 timed-out cell (--cell-timeout, wall-clock milliseconds per cell) is
 retried --retries times (default 1) with bounded backoff, then
@@ -207,16 +180,34 @@ kill-after=4') deterministically injects faults to exercise these paths.
     .to_string()
 }
 
-/// Parses `--key value` pairs; a `--flag` followed by another flag (or by
-/// nothing) is boolean and stored as `"true"`. Returns an error for stray
-/// non-flag arguments.
-fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, String>, String> {
+/// Flags the `apply_*`/`parse_*` helpers read on behalf of every
+/// engine-backed command (`run`, `suite`, `experiment`).
+const ENGINE_FLAGS: &str =
+    "scale sampled exact profile no-cache retries cell-timeout inject-faults run-id";
+
+/// Parses `--key value` pairs for subcommand `cmd`; a `--flag` followed by
+/// another flag (or by nothing) is boolean and stored as `"true"`. Returns
+/// an error for stray non-flag arguments and for any key outside
+/// `allowed` (the groups of keys `cmd` reads), so a typo fails loudly
+/// instead of silently running with the default. Each `allowed` entry is
+/// a space-separated list of keys.
+fn parse_flags(
+    cmd: &str,
+    allowed: &[&str],
+    args: &[String],
+) -> Result<std::collections::HashMap<String, String>, String> {
     let mut flags = std::collections::HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         let key = a
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got `{a}`"))?;
+        if !allowed
+            .iter()
+            .any(|g| g.split_whitespace().any(|k| k == key))
+        {
+            return Err(format!("unknown {cmd} flag `--{key}`"));
+        }
         let value = match it.peek() {
             Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
             _ => "true".to_string(),
@@ -400,75 +391,6 @@ fn apply_jobs(flags: &std::collections::HashMap<String, String>) -> Result<(), S
     Ok(())
 }
 
-/// Parses `--distrib` and its companions into [`DistribOptions`]; `None`
-/// when `--distrib` was not given. The `--inject-faults` spec is
-/// forwarded verbatim to spawned workers so the chaos keys fire in the
-/// processes they describe.
-fn parse_distrib(
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<Option<DistribOptions>, String> {
-    if !flags.contains_key("distrib") {
-        return Ok(None);
-    }
-    let mut opts = DistribOptions {
-        workers: match flags.get("workers") {
-            Some(n) => n
-                .parse()
-                .map_err(|_| "bad --workers (want a non-negative integer)")?,
-            None => 2,
-        },
-        ..DistribOptions::default()
-    };
-    if let Some(ms) = flags.get("lease-ttl") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| "bad --lease-ttl (want milliseconds)")?;
-        if ms < 50 {
-            return Err("--lease-ttl must be at least 50 milliseconds".to_string());
-        }
-        opts.lease_ttl = Duration::from_millis(ms);
-    }
-    if let Some(n) = flags.get("poison-after") {
-        opts.poison_after = n
-            .parse()
-            .map_err(|_| "bad --poison-after (want a positive integer)")?;
-        if opts.poison_after == 0 {
-            return Err("--poison-after must be at least 1".to_string());
-        }
-    }
-    opts.grace = match flags.get("grace") {
-        Some(ms) => {
-            Duration::from_millis(ms.parse().map_err(|_| "bad --grace (want milliseconds)")?)
-        }
-        None => opts.lease_ttl * 2,
-    };
-    if let Some(bind) = flags.get("bind") {
-        opts.bind = bind.clone();
-    }
-    if let Some(id) = flags.get("run-id") {
-        opts.run_id = id.clone();
-    }
-    opts.worker_faults = flags.get("inject-faults").cloned();
-    Ok(Some(opts))
-}
-
-/// `dmdc worker --connect <addr>`: join a coordinator's fleet and run
-/// cells until it reports the run complete. `--inject-faults` arms the
-/// distributed chaos keys in this process.
-fn cmd_worker(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let addr = flags
-        .get("connect")
-        .ok_or("--connect <addr> is required")?
-        .clone();
-    let id = flags
-        .get("id")
-        .cloned()
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    apply_recovery(&flags)?;
-    distrib::run_worker(&addr, &id)
-}
-
 fn parse_scale(flags: &std::collections::HashMap<String, String>) -> Result<Scale, String> {
     match flags.get("scale").map(String::as_str).unwrap_or("default") {
         "smoke" => Ok(Scale::Smoke),
@@ -544,7 +466,14 @@ fn cmd_list() {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        "run",
+        &[
+            ENGINE_FLAGS,
+            "resume workload policy config inval-rate trace max-commits inval-model cores seed",
+        ],
+        args,
+    )?;
     if let Some(run_id) = flags.get("resume") {
         return cmd_resume(run_id);
     }
@@ -778,7 +707,7 @@ fn print_run_stats(
 }
 
 fn cmd_suite(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("suite", &[ENGINE_FLAGS, "policy config format jobs"], args)?;
     let policy = parse_policy(
         flags
             .get("policy")
@@ -792,7 +721,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
     apply_profile(&flags);
     apply_cache(&flags);
     apply_recovery(&flags)?;
-    let sampling = apply_sampling(&flags, scale)?;
+    apply_sampling(&flags, scale)?;
     apply_journal("suite", args, &flags)?;
     let mut t = Table::new(format!("suite under {policy:?} on {}", config.name));
     t.headers([
@@ -804,32 +733,10 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
         "safe loads",
     ]);
     let suite = full_suite(scale);
-    let (runs, failures) = match parse_distrib(&flags)? {
-        Some(dopts) => {
-            // The worker fleet rebuilds this exact matrix from the
-            // descriptor; the assembled cells feed the same table code.
-            let config_num: u8 = flags
-                .get("config")
-                .map(String::as_str)
-                .unwrap_or("2")
-                .parse()
-                .expect("validated by parse_config");
-            let desc = PlanDescriptor::Suite {
-                policy: policy.clone(),
-                config: config_num,
-                scale,
-                sampled: sampling.enabled(),
-            };
-            distrib::execute_plan_distributed(&desc, &dopts)?
-        }
-        None => {
-            let specs: Vec<RunSpec> = (0..suite.len())
-                .map(|i| RunSpec::new(i, &config, policy.clone()))
-                .collect();
-            let engine = Engine::new(&suite);
-            engine.run_all_recovered(&specs)
-        }
-    };
+    let specs: Vec<RunSpec> = (0..suite.len())
+        .map(|i| RunSpec::new(i, &config, policy.clone()))
+        .collect();
+    let (runs, failures) = Engine::new(&suite).run_all_recovered(&specs);
     for (w, r) in suite.iter().zip(&runs) {
         let Some(r) = r else { continue };
         let s = &r.stats;
@@ -883,16 +790,15 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     let which = args
         .first()
         .ok_or("which experiment? (see `dmdc list`: fig2..fig5, table2..table6, ablations, all)")?;
-    let flags = parse_flags(&args[1..])?;
+    let flags = parse_flags("experiment", &[ENGINE_FLAGS, "format jobs"], &args[1..])?;
     let scale = parse_scale(&flags)?;
     let format = parse_format(&flags)?;
     apply_jobs(&flags)?;
     apply_profile(&flags);
     apply_cache(&flags);
     apply_recovery(&flags)?;
-    let sampling = apply_sampling(&flags, scale)?;
+    apply_sampling(&flags, scale)?;
     apply_journal("experiment", args, &flags)?;
-    let distrib_opts = parse_distrib(&flags)?;
     let ids: Vec<&str> = match which.as_str() {
         "all" => experiments::registry().iter().map(|e| e.id()).collect(),
         "ablations" => experiments::ABLATION_IDS.to_vec(),
@@ -902,12 +808,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     for id in ids {
         let exp = experiments::find_experiment(id)
             .ok_or_else(|| format!("unknown experiment `{id}` (see `dmdc list`)"))?;
-        let report = match &distrib_opts {
-            Some(dopts) => {
-                distrib::run_experiment_distributed(exp, scale, sampling.enabled(), dopts)?
-            }
-            None => experiments::run_experiment(exp, scale),
-        };
+        let report = experiments::run_experiment(exp, scale);
         quarantined += report.failures().len();
         print!("{}", report.emit(format));
     }
@@ -1032,7 +933,11 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
 /// `dmdc serve`: run the long-lived simulation daemon (see the usage
 /// text and `dmdc::core::service` for the wire contract).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        "serve",
+        &["jobs retries cell-timeout inject-faults addr state-dir quota paused"],
+        args,
+    )?;
     apply_jobs(&flags)?;
     apply_recovery(&flags)?;
     let mut opts = ServeOptions::default();
@@ -1068,7 +973,14 @@ fn server_addr(flags: &std::collections::HashMap<String, String>) -> String {
 /// `dmdc run`/`experiment` take, POST it, print the server's reply (and
 /// with `--wait`, poll until the result is ready and print that).
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        "submit",
+        &[
+            "addr scale experiment workload policy config inval-rate",
+            "sampled priority client wait max-wait",
+        ],
+        args,
+    )?;
     let addr = server_addr(&flags);
     let scale = parse_scale(&flags)?;
     let mut body = if let Some(id) = flags.get("experiment") {
@@ -1184,7 +1096,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 
 /// `dmdc status`: one job's status document (`--job`), or every job.
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("status", &["addr job"], args)?;
     let addr = server_addr(&flags);
     let path = match flags.get("job") {
         Some(id) => format!("/jobs/{id}"),
@@ -1200,7 +1112,7 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 
 /// `dmdc metrics`: the daemon's service/cache/single-flight counters.
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("metrics", &["addr"], args)?;
     let addr = server_addr(&flags);
     let (status, reply) = http::request(&addr, "GET", "/metrics", None)?;
     print!("{reply}");
@@ -1239,10 +1151,32 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags("run", &["workload config"], &args).unwrap();
         assert_eq!(f["workload"], "histo");
         assert_eq!(f["config"], "2");
-        assert!(parse_flags(&["stray".to_string()]).is_err());
+        assert!(parse_flags("run", &["workload"], &["stray".to_string()]).is_err());
+        // A key the command does not read is a typo, never a silent no-op.
+        let typo: Vec<String> = ["--jbos", "2", "--no-cahce"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            parse_flags("suite", &[ENGINE_FLAGS, "jobs"], &typo).unwrap_err(),
+            "unknown suite flag `--jbos`"
+        );
+        for cmd in [
+            cmd_run,
+            cmd_suite,
+            cmd_serve,
+            cmd_submit,
+            cmd_status,
+            cmd_metrics,
+        ] {
+            let err = cmd(&typo).unwrap_err();
+            assert!(err.contains("flag `--jbos`"), "{err}");
+        }
+        let err = cmd_experiment(&["fig2".to_string(), "--distrib".to_string()]).unwrap_err();
+        assert_eq!(err, "unknown experiment flag `--distrib`");
     }
 
     #[test]
@@ -1251,7 +1185,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags("suite", &[ENGINE_FLAGS, "jobs trace"], &args).unwrap();
         assert_eq!(f["profile"], "true");
         assert_eq!(f["jobs"], "4");
         assert_eq!(f["trace"], "true");

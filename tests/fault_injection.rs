@@ -333,40 +333,26 @@ fn fuzz_replay_fails_gracefully_on_bad_repro_files() {
     );
 }
 
-/// The distributed chaos keys (PR 10) must parse in any `--inject-faults`
-/// plan but stay completely inert outside a worker/coordinator: a plain
-/// single-process suite armed with all four still succeeds with clean-run
-/// bytes. (Their firing paths are covered by tests/distrib.rs.)
+/// Fault keys and suite flags nobody reads are rejected up front, naming
+/// the offender, rather than silently running a fault-free suite.
 #[test]
-fn distributed_chaos_keys_are_inert_outside_distrib() {
-    let wd = workdir("dmdc-fault-distrib-keys-wd");
-    let clean = dmdc(&wd, SUITE);
-    assert!(clean.status.success(), "{}", stderr(&clean));
-
-    let armed = dmdc(
-        &wd,
-        &suite_with(&[
-            "--inject-faults",
-            "seed=1,worker-kill-after=1,drop-heartbeats=1,stale-claim=100,partial-upload=2",
-        ]),
-    );
-    assert!(
-        armed.status.success(),
-        "distributed keys must be inert in a single-process run: {}",
-        stderr(&armed)
-    );
-    assert_eq!(
-        stdout(&armed),
-        stdout(&clean),
-        "inert chaos keys must not perturb the report"
-    );
-
-    // An unknown key is still rejected up front, not silently ignored.
-    let bogus = dmdc(&wd, &suite_with(&["--inject-faults", "seed=1,warble=3"]));
-    assert!(!bogus.status.success());
-    assert!(
-        stderr(&bogus).contains("warble"),
-        "rejection must name the bad key: {}",
-        stderr(&bogus)
-    );
+fn unknown_fault_keys_and_flags_are_rejected() {
+    let wd = workdir("dmdc-fault-unknown-keys-wd");
+    for (extra, offender) in [
+        (
+            &["--inject-faults", "seed=1,worker-kill-after=1"][..],
+            "worker-kill-after",
+        ),
+        (&["--inject-faults", "seed=1,warble=3"][..], "warble"),
+        (&["--distrib"][..], "--distrib"),
+    ] {
+        let out = dmdc(&wd, &suite_with(extra));
+        assert!(!out.status.success(), "{extra:?} must be rejected");
+        assert!(
+            stderr(&out).contains(offender),
+            "rejection must name `{offender}`: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "nothing may run: {}", stdout(&out));
+    }
 }
