@@ -10,7 +10,7 @@
 use criterion::Criterion;
 use dmdc_bench::{criterion, finish};
 use dmdc_core::experiments::PolicyKind;
-use dmdc_core::runner::{Engine, RunSpec};
+use dmdc_core::runner::{Engine, RunCtx, RunSpec};
 use dmdc_ooo::CoreConfig;
 use dmdc_workloads::{fp_suite, int_suite, Scale, Workload};
 
@@ -33,13 +33,22 @@ fn specs(workloads: &[Workload], config: &CoreConfig) -> Vec<RunSpec> {
         .collect()
 }
 
+/// A bare context (no cache, journal or faults) with `jobs` workers, so
+/// every iteration simulates.
+fn ctx(jobs: usize) -> RunCtx {
+    RunCtx {
+        jobs,
+        ..RunCtx::default()
+    }
+}
+
 fn bench_engine(c: &mut Criterion, name: &str, jobs: usize) {
     let workloads = mini_suite();
     let config = CoreConfig::config2();
     let cells = specs(&workloads, &config);
     c.bench_function(name, |b| {
         b.iter(|| {
-            let engine = Engine::with_jobs(&workloads, jobs);
+            let engine = Engine::with_ctx(&workloads, ctx(jobs));
             let runs = engine.run_all(&cells);
             std::hint::black_box(runs.len())
         })
@@ -63,7 +72,7 @@ fn main() {
     let workloads = mini_suite();
     let config = CoreConfig::config2();
     let cells = specs(&workloads, &config);
-    let warm = Engine::with_jobs(&workloads, 1);
+    let warm = Engine::with_ctx(&workloads, ctx(1));
     warm.run_all(&cells);
     c.bench_function("runner/oracle-warm", |b| {
         b.iter(|| std::hint::black_box(warm.run_all(&cells).len()))

@@ -1,8 +1,8 @@
 //! PR6 sampling engine: exact vs sampled wall-clock on the two hottest
 //! registry experiments — fig2 (the YLA sweep, the widest matrix) and
 //! table6 (invalidation-rate slowdowns, paired baseline runs). Each
-//! estimate regenerates the experiment cold (no cell cache is installed
-//! in a bench process), so the ratio is the honest end-to-end speedup
+//! estimate regenerates the experiment cold (the bench's run context
+//! carries no cell cache), so the ratio is the honest end-to-end speedup
 //! sampling buys. Headline numbers are recorded in `BENCH_pr6.json`.
 //!
 //! PR7 adds the fast-forward-only pair: one workload's full dynamic
@@ -17,7 +17,7 @@
 use criterion::Criterion;
 use dmdc_bench::{criterion, finish, scale_from_env};
 use dmdc_core::experiments::{find_experiment, run_experiment};
-use dmdc_core::runner::set_default_sampling;
+use dmdc_core::runner::RunCtx;
 use dmdc_isa::{BlockCode, Emulator};
 use dmdc_ooo::SampleSpec;
 use dmdc_workloads::{full_suite, Workload};
@@ -53,16 +53,19 @@ fn main() {
     let mut c = criterion().sample_size(3);
     for id in ["fig2", "table6"] {
         let exp = find_experiment(id).expect("registry id");
-        set_default_sampling(SampleSpec::EXACT);
-        c.bench_function(&format!("sampling/{id}-exact"), |b| {
-            b.iter(|| std::hint::black_box(run_experiment(exp, scale)))
-        });
-        set_default_sampling(SampleSpec::standard());
-        c.bench_function(&format!("sampling/{id}-sampled"), |b| {
-            b.iter(|| std::hint::black_box(run_experiment(exp, scale)))
-        });
+        for (mode, sampling) in [
+            ("exact", SampleSpec::EXACT),
+            ("sampled", SampleSpec::standard()),
+        ] {
+            let ctx = RunCtx {
+                sampling,
+                ..RunCtx::default()
+            };
+            c.bench_function(&format!("sampling/{id}-{mode}"), |b| {
+                b.iter(|| std::hint::black_box(run_experiment(exp, scale, &ctx)))
+            });
+        }
     }
-    set_default_sampling(SampleSpec::EXACT);
     let histo = full_suite(scale)
         .into_iter()
         .find(|w| w.name == "histo")

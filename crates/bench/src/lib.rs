@@ -12,6 +12,7 @@
 
 use criterion::Criterion;
 use dmdc_core::experiments::{find_experiment, run_experiment, run_workload, PolicyKind};
+use dmdc_core::runner::RunCtx;
 use dmdc_ooo::{CoreConfig, SimOptions};
 use dmdc_workloads::{Scale, SyntheticKernel};
 
@@ -39,7 +40,8 @@ pub fn scale_from_env() -> Scale {
 /// registry entry is a build defect, not a runtime condition).
 pub fn regen(id: &str) {
     let exp = find_experiment(id).unwrap_or_else(|| panic!("unknown experiment `{id}`"));
-    print!("{}", run_experiment(exp, scale_from_env()).text());
+    let ctx = RunCtx::default();
+    print!("{}", run_experiment(exp, scale_from_env(), &ctx).text());
 }
 
 /// Registers a Criterion benchmark simulating a small synthetic kernel

@@ -31,9 +31,9 @@
 //! processes never observe a torn record. On load the envelope is
 //! verified first: a truncated, bit-flipped, checksum-mismatched or
 //! version-mismatched file is **quarantined** to `quarantine/` under the
-//! cache root (never silently deserialized), recorded in the
-//! [recovery ledger](crate::recovery), counted in [`CacheCounters`], and
-//! the cell transparently regenerated. Hits skip both the simulation and
+//! cache root (never silently deserialized), counted in
+//! [`CacheCounters`] (which the [recovery ledger](crate::recovery)
+//! reads), and the cell transparently regenerated. Hits skip both the simulation and
 //! its emulator-oracle verification — the cache stores only verified
 //! results.
 
@@ -44,7 +44,6 @@ use dmdc_isa::encode;
 use dmdc_workloads::Workload;
 
 use crate::cell::CellResult;
-use crate::recovery::{self, RecoveryKind};
 use crate::sampling::Checkpoint;
 
 /// Version tag of the dependence-policy implementations in this crate
@@ -305,11 +304,11 @@ impl CellCache {
     }
 
     /// Moves a rejected entry aside (best-effort: falls back to deleting
-    /// it so a broken file can never be consulted twice) and records the
+    /// it so a broken file can never be consulted twice) and counts the
     /// rejection.
-    fn quarantine(&self, path: &Path, reason: &str) {
+    fn quarantine(&self, path: &Path) {
         self.corrupt.fetch_add(1, Ordering::Relaxed);
-        if quarantine_into(&self.quarantine_dir(), path, reason) {
+        if quarantine_into(&self.quarantine_dir(), path) {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -324,22 +323,18 @@ impl CellCache {
         let path = self.path_of(key);
         let loaded = match std::fs::read_to_string(&path) {
             Err(_) => None, // absent (or unreadable): a plain miss
-            Ok(text) => match unseal(&text) {
-                Err(e) => {
-                    self.quarantine(&path, e.label());
-                    None
+            Ok(text) => {
+                // A damaged envelope, or a checksum-valid but
+                // undeserializable body: a stale schema or a mislabeled
+                // record.
+                let cell = unseal(&text).ok().and_then(|body| {
+                    CellResult::from_record(body).filter(|cell| cell.workload == expected_workload)
+                });
+                if cell.is_none() {
+                    self.quarantine(&path);
                 }
-                Ok(body) => {
-                    let cell = CellResult::from_record(body)
-                        .filter(|cell| cell.workload == expected_workload);
-                    if cell.is_none() {
-                        // Checksum-valid but undeserializable: a stale
-                        // schema or a mislabeled record.
-                        self.quarantine(&path, "stale-record");
-                    }
-                    cell
-                }
-            },
+                cell
+            }
         };
         match &loaded {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -348,19 +343,17 @@ impl CellCache {
         loaded
     }
 
-    /// Persists a freshly computed cell, sealed and via tmp+rename.
-    /// I/O failures are swallowed: a cache that cannot write (read-only
-    /// checkout, full disk) costs a re-simulation later, never a wrong
-    /// result now.
-    pub fn store(&self, key: u64, cell: &CellResult) {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
+    /// Persists a freshly computed cell, sealed and via tmp+rename, and
+    /// returns the written entry's path. I/O failures are swallowed
+    /// (`None`): a cache that cannot write (read-only checkout, full
+    /// disk) costs a re-simulation later, never a wrong result now.
+    pub fn store(&self, key: u64, cell: &CellResult) -> Option<PathBuf> {
+        std::fs::create_dir_all(&self.dir).ok()?;
         let path = self.path_of(key);
-        if write_sealed(&path, &cell.to_record(), tmp_tag(key)) {
+        write_sealed(&path, &cell.to_record(), tmp_tag(key)).then(|| {
             self.stores.fetch_add(1, Ordering::Relaxed);
-            crate::faults::on_cache_entry_written(&path);
-        }
+            path
+        })
     }
 
     /// Counters since this cache handle was created.
@@ -377,9 +370,8 @@ impl CellCache {
 
 /// Shared quarantine mechanics: move the rejected file into `qdir`
 /// (best-effort — delete it when the move fails, so a broken file can
-/// never be consulted twice) and record the rejection in the recovery
-/// ledger. Returns whether the move succeeded.
-fn quarantine_into(qdir: &Path, path: &Path, reason: &str) -> bool {
+/// never be consulted twice). Returns whether the move succeeded.
+fn quarantine_into(qdir: &Path, path: &Path) -> bool {
     let moved = std::fs::create_dir_all(qdir).is_ok()
         && path
             .file_name()
@@ -387,13 +379,6 @@ fn quarantine_into(qdir: &Path, path: &Path, reason: &str) -> bool {
     if !moved {
         let _ = std::fs::remove_file(path);
     }
-    recovery::record(
-        RecoveryKind::CacheQuarantined,
-        path.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string()),
-        reason,
-    );
     moved
 }
 
@@ -488,9 +473,9 @@ impl CheckpointStore {
         self.dir.join("quarantine")
     }
 
-    fn quarantine(&self, path: &Path, reason: &str) {
+    fn quarantine(&self, path: &Path) {
         self.corrupt.fetch_add(1, Ordering::Relaxed);
-        if quarantine_into(&self.quarantine_dir(), path, reason) {
+        if quarantine_into(&self.quarantine_dir(), path) {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -504,19 +489,15 @@ impl CheckpointStore {
         let path = self.path_of(key);
         let loaded = match std::fs::read_to_string(&path) {
             Err(_) => None, // absent (or unreadable): a plain miss
-            Ok(text) => match unseal(&text) {
-                Err(e) => {
-                    self.quarantine(&path, e.label());
-                    None
+            Ok(text) => {
+                let ck = unseal(&text)
+                    .ok()
+                    .and_then(|body| decode_checkpoint_body(body, expected_workload, window));
+                if ck.is_none() {
+                    self.quarantine(&path);
                 }
-                Ok(body) => {
-                    let ck = decode_checkpoint_body(body, expected_workload, window);
-                    if ck.is_none() {
-                        self.quarantine(&path, "stale-record");
-                    }
-                    ck
-                }
-            },
+                ck
+            }
         };
         match &loaded {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -525,19 +506,18 @@ impl CheckpointStore {
         loaded
     }
 
-    /// Persists a freshly captured checkpoint, sealed and via tmp+rename.
-    /// I/O failures are swallowed: a store that cannot write costs a
-    /// re-fast-forward later, never a wrong result now.
-    pub fn store(&self, key: u64, workload: &str, checkpoint: &Checkpoint) {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
+    /// Persists a freshly captured checkpoint, sealed and via tmp+rename,
+    /// and returns the written entry's path. I/O failures are swallowed
+    /// (`None`): a store that cannot write costs a re-fast-forward later,
+    /// never a wrong result now.
+    pub fn store(&self, key: u64, workload: &str, checkpoint: &Checkpoint) -> Option<PathBuf> {
+        std::fs::create_dir_all(&self.dir).ok()?;
         let body = format!("{CKPT_MAGIC}\nworkload {workload}\n{}", checkpoint.encode());
         let path = self.path_of(key);
-        if write_sealed(&path, &body, tmp_tag(key)) {
+        write_sealed(&path, &body, tmp_tag(key)).then(|| {
             self.stores.fetch_add(1, Ordering::Relaxed);
-            crate::faults::on_cache_entry_written(&path);
-        }
+            path
+        })
     }
 
     /// Counters since this store handle was created.

@@ -27,7 +27,7 @@ use dmdc_workloads::{Group, Scale, Workload};
 
 use crate::cell::{CellError, CellFailure, FailureKind};
 use crate::report::{GroupStat, Report};
-use crate::runner::{Engine, RunSpec};
+use crate::runner::{Engine, RunCtx, RunSpec};
 use crate::{BloomPolicy, CheckingQueuePolicy, DmdcConfig, DmdcPolicy, Interleave, YlaPolicy};
 
 mod defs;
@@ -212,19 +212,8 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Plans `variants` over `workloads`. Variants that do not carry
-    /// their own sampling spec pick up the process-wide default
-    /// ([`crate::runner::default_sampling`]) here — before any spec
-    /// description, cache key or journal key is derived from them.
-    pub fn matrix(workloads: Vec<Workload>, mut variants: Vec<Variant>) -> Plan {
-        let default_spec = crate::runner::default_sampling();
-        if default_spec.enabled() {
-            for (_, _, opts) in &mut variants {
-                if !opts.sampling.enabled() {
-                    opts.sampling = default_spec;
-                }
-            }
-        }
+    /// Plans `variants` over `workloads`.
+    pub fn matrix(workloads: Vec<Workload>, variants: Vec<Variant>) -> Plan {
         Plan {
             workloads,
             variants,
@@ -314,16 +303,15 @@ pub fn find_experiment(id: &str) -> Option<&'static dyn Experiment> {
 }
 
 /// Runs one registry experiment end to end (plan → run → reduce) at the
-/// given scale, using the process-default engine (worker count, cell
-/// cache, journal, retry policy).
+/// given scale under `ctx` (worker count, sampling spec, cell cache,
+/// journal, retry policy).
 ///
 /// Cells that exhaust their retries are quarantined: the returned
 /// [`Report`] then carries the structured [`CellFailure`] records instead
 /// of the reduced tables (a partial matrix cannot be reduced honestly),
 /// and the process lives on to run the remaining experiments.
-pub fn run_experiment(exp: &dyn Experiment, scale: Scale) -> Report {
-    let plan = exp.plan(scale);
-    let (cells, failures) = execute_plan(&plan);
+pub fn run_experiment(exp: &dyn Experiment, scale: Scale, ctx: &RunCtx) -> Report {
+    let (cells, failures) = execute_plan(&exp.plan(scale), ctx);
     if failures.is_empty() {
         let cells: Vec<CellResult> = cells
             .into_iter()
@@ -342,8 +330,8 @@ pub fn run_experiment(exp: &dyn Experiment, scale: Scale) -> Report {
 /// Executes a plan's cells through one engine, logging the engine's
 /// sharing counters to stderr (stdout stays reserved for the tables).
 /// Failed cells come back as `None` slots plus their [`CellFailure`]s.
-fn execute_plan(plan: &Plan) -> (Vec<Option<CellResult>>, Vec<CellFailure>) {
-    let engine = Engine::new(&plan.workloads);
+fn execute_plan(plan: &Plan, ctx: &RunCtx) -> (Vec<Option<CellResult>>, Vec<CellFailure>) {
+    let engine = Engine::with_ctx(&plan.workloads, ctx.clone());
     let specs = plan.specs();
     let (cells, failures) = engine.run_all_recovered(&specs);
     log_engine(&engine, specs.len());
@@ -374,25 +362,27 @@ fn log_engine(engine: &Engine<'_>, cells: usize) {
 /// panic, so the engine's fault-tolerant layer can retry or quarantine
 /// the cell without killing the process.
 pub(crate) fn execute_verified(
+    ctx: &RunCtx,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
     mut opts: SimOptions,
     oracle: impl FnOnce() -> Result<(u64, u64), String>,
 ) -> Result<CellResult, CellError> {
-    if crate::runner::profile_enabled() {
+    if ctx.profile {
         opts.profile = true;
     }
     if opts.sampling.enabled() {
-        return crate::sampling::execute_sampled(workload, config, policy_kind, opts, oracle);
+        return crate::sampling::execute_sampled(ctx, workload, config, policy_kind, opts, oracle);
     }
-    execute_exact(workload, config, policy_kind, opts, oracle)
+    execute_exact(ctx, workload, config, policy_kind, opts, oracle)
 }
 
 /// The exact (every-instruction) execution path: one detailed simulation,
 /// verified against the emulator reference when it halts. Also the
 /// sampling engine's fallback for populations too small to sample.
 pub(crate) fn execute_exact(
+    ctx: &RunCtx,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
@@ -437,7 +427,7 @@ pub(crate) fn execute_exact(
         }
     }
     if let Some(profile) = &result.profile {
-        crate::runner::record_profile(profile, &result.stats);
+        ctx.record_profile(profile, &result.stats);
     }
     Ok(CellResult {
         workload: workload.name.to_string(),
@@ -449,11 +439,11 @@ pub(crate) fn execute_exact(
 /// Runs `workload` under `policy_kind` on `config`, verifying the final
 /// architectural state against the functional emulator when the run halts.
 ///
-/// This is the standalone single-run entry point (CLI `run`, correctness
-/// tests). Experiments instead batch their cells through
+/// This is the standalone single-run entry point (correctness tests,
+/// examples) under a bare [`RunCtx`]: nothing cached, journaled or
+/// profiled. Experiments instead batch their cells through
 /// [`crate::runner::Engine`], which memoizes the emulator oracle across
-/// cells and consults the cell cache; here each call emulates afresh and
-/// nothing is cached.
+/// cells and consults the cell cache; here each call emulates afresh.
 ///
 /// # Panics
 ///
@@ -468,7 +458,25 @@ pub fn run_workload(
     policy_kind: &PolicyKind,
     opts: SimOptions,
 ) -> CellResult {
-    execute_verified(workload, config, policy_kind, opts, || {
+    run_workload_in(&RunCtx::default(), workload, config, policy_kind, opts)
+}
+
+/// [`run_workload`] under `ctx` (CLI `dmdc run --sampled`): sampled runs
+/// restore checkpoints from its store and keep their partial-progress
+/// envelope under its journal; with profiling on, the run's profile
+/// lands in its sink.
+///
+/// # Panics
+///
+/// As [`run_workload`].
+pub fn run_workload_in(
+    ctx: &RunCtx,
+    workload: &Workload,
+    config: &CoreConfig,
+    policy_kind: &PolicyKind,
+    opts: SimOptions,
+) -> CellResult {
+    execute_verified(ctx, workload, config, policy_kind, opts, || {
         let mut emu = Emulator::new(&workload.program);
         let retired = emu
             .run(u64::MAX)
@@ -515,8 +523,9 @@ where
 /// Panics if any cell is quarantined — the typed `*_on` entry points
 /// return bare tables with nowhere to surface structured failures.
 pub(crate) fn run_matrix(workloads: &[Workload], variants: &[Variant]) -> Vec<Vec<CellResult>> {
+    let ctx = crate::runner::default_ctx();
     let plan = Plan::matrix(workloads.to_vec(), variants.to_vec());
-    let (cells, failures) = execute_plan(&plan);
+    let (cells, failures) = execute_plan(&plan, &ctx);
     if let Some(f) = failures.first() {
         panic!(
             "cell {} quarantined after {} attempts: [{}] {}",

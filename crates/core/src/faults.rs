@@ -3,9 +3,9 @@
 //! The crash-safety machinery — retries, quarantine, journal resume,
 //! cache integrity — is exactly the kind of code that silently rots
 //! because nothing exercises it in an ordinary run. This module plants
-//! cheap hooks at the fault sites (cell attempts, cache writes, journal
-//! writes, worker threads) that do nothing unless a [`FaultPlan`] is
-//! installed, and inject *deterministic* failures when one is:
+//! hooks at the fault sites (cell attempts, cache writes, journal writes,
+//! worker threads) that are only reached when the run carries a
+//! [`FaultPlan`], and inject *deterministic* failures when it does:
 //!
 //! * **cell panics / hangs** — selected by a seeded hash of the workload
 //!   name, so the same plan always breaks the same cells regardless of
@@ -22,20 +22,14 @@
 //!
 //! Plans are spelled as compact `key=value` strings (see
 //! [`FaultPlan::parse`]) so the CLI (`dmdc ... --inject-faults ...`), CI
-//! smoke jobs and integration tests all share one vocabulary. Production
-//! runs never install a plan; the hooks then cost one relaxed atomic
-//! load.
+//! smoke jobs and integration tests all share one vocabulary. A plan
+//! rides in its run's [`RunCtx`](crate::runner::RunCtx); production runs
+//! carry none, and the hooks are then never called.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::cache::Fnv64;
-
-/// The installed plan, if any. `ACTIVE` mirrors `PLAN.is_some()` so the
-/// hooks on hot paths skip the mutex entirely when injection is off.
-static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// A deterministic fault-injection schedule. All periods default to 0
 /// (= never fire).
@@ -119,75 +113,59 @@ impl FaultPlan {
         h.write(class.as_bytes());
         h.finish().is_multiple_of(period)
     }
-}
 
-/// Installs (or, with `None`, removes) the process-wide fault plan.
-pub fn set_fault_plan(plan: Option<FaultPlan>) {
-    let mut slot = PLAN.lock().unwrap_or_else(|p| p.into_inner());
-    ACTIVE.store(plan.is_some(), Ordering::Release);
-    *slot = plan.map(Arc::new);
-}
+    /// Hook: start of one isolated cell attempt. May panic or sleep.
+    pub(crate) fn on_cell_attempt(&self, workload: &str, attempt: u32) {
+        if self.selects(self.panic_period, workload, "panic") && attempt < self.panic_attempts {
+            panic!("injected fault: cell panic (workload {workload}, attempt {attempt})");
+        }
+        if self.selects(self.hang_period, workload, "hang") && attempt == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(self.hang_ms));
+        }
+    }
 
-fn active() -> Option<Arc<FaultPlan>> {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return None;
+    /// Hook: a worker is about to claim cell `index`. Panics outside the
+    /// per-cell isolation exactly once per plan, killing the worker thread.
+    pub(crate) fn on_worker_cell(&self, index: usize) {
+        if self.worker_panic && !self.worker_fired.swap(true, Ordering::Relaxed) {
+            panic!("injected fault: worker death at cell {index}");
+        }
     }
-    PLAN.lock().unwrap_or_else(|p| p.into_inner()).clone()
-}
 
-/// Hook: start of one isolated cell attempt. May panic or sleep.
-pub fn on_cell_attempt(workload: &str, attempt: u32) {
-    let Some(plan) = active() else { return };
-    if plan.selects(plan.panic_period, workload, "panic") && attempt < plan.panic_attempts {
-        panic!("injected fault: cell panic (workload {workload}, attempt {attempt})");
-    }
-    if plan.selects(plan.hang_period, workload, "hang") && attempt == 0 {
-        std::thread::sleep(std::time::Duration::from_millis(plan.hang_ms));
-    }
-}
-
-/// Hook: a worker is about to claim cell `index`. Panics outside the
-/// per-cell isolation exactly once per plan, killing the worker thread.
-pub fn on_worker_cell(index: usize) {
-    let Some(plan) = active() else { return };
-    if plan.worker_panic && !plan.worker_fired.swap(true, Ordering::Relaxed) {
-        panic!("injected fault: worker death at cell {index}");
-    }
-}
-
-/// Hook: a sealed cache entry was just renamed into place. With
-/// `corrupt=N`, every Nth entry gets one byte flipped, preserving length
-/// (a checksum-mismatch quarantine, not a truncation).
-pub fn on_cache_entry_written(path: &Path) {
-    let Some(plan) = active() else { return };
-    if plan.corrupt_period == 0 {
-        return;
-    }
-    let n = plan.cache_writes.fetch_add(1, Ordering::Relaxed);
-    if (n + plan.seed) % plan.corrupt_period == 0 {
-        if let Ok(mut bytes) = std::fs::read(path) {
-            if let Some(b) = bytes.last_mut() {
-                *b ^= 0x01;
-                let _ = std::fs::write(path, bytes);
+    /// Hook: a sealed cache or checkpoint-store entry was just renamed
+    /// into place. With `corrupt=N`, every Nth entry gets one byte
+    /// flipped, preserving length (a checksum-mismatch quarantine, not a
+    /// truncation).
+    pub(crate) fn on_cache_entry_written(&self, path: &Path) {
+        if self.corrupt_period == 0 {
+            return;
+        }
+        let n = self.cache_writes.fetch_add(1, Ordering::Relaxed);
+        if (n + self.seed).is_multiple_of(self.corrupt_period) {
+            if let Ok(mut bytes) = std::fs::read(path) {
+                if let Some(b) = bytes.last_mut() {
+                    *b ^= 0x01;
+                    let _ = std::fs::write(path, bytes);
+                }
             }
         }
     }
-}
 
-/// Hook: a journal checkpoint was just written. Every Nth entry is cut
-/// in half (a torn write), and after `kill_after` checkpoints the
-/// process aborts — the reproducible SIGKILL crash/resume tests lean on.
-pub fn on_journal_entry_written(path: &Path) {
-    let Some(plan) = active() else { return };
-    let n = plan.journal_writes.fetch_add(1, Ordering::Relaxed) + 1;
-    if plan.truncate_period > 0 && (n - 1 + plan.seed) % plan.truncate_period == 0 {
-        if let Ok(bytes) = std::fs::read(path) {
-            let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
+    /// Hook: a journal checkpoint (or sampled partial-progress envelope)
+    /// was just written. Every Nth entry is cut in half (a torn write),
+    /// and after `kill_after` checkpoints the process aborts — the
+    /// reproducible SIGKILL crash/resume tests lean on.
+    pub(crate) fn on_journal_entry_written(&self, path: &Path) {
+        let n = self.journal_writes.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.truncate_period > 0 && (n - 1 + self.seed).is_multiple_of(self.truncate_period) {
+            if let Ok(bytes) = std::fs::read(path) {
+                let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
+            }
         }
-    }
-    if plan.kill_after > 0 && n >= plan.kill_after {
-        eprintln!("injected fault: aborting after {n} journal checkpoints");
-        std::process::abort();
+        if self.kill_after > 0 && n >= self.kill_after {
+            eprintln!("injected fault: aborting after {n} journal checkpoints");
+            std::process::abort();
+        }
     }
 }
 

@@ -249,17 +249,23 @@ mod tests {
     fn panicking_leader_releases_followers() {
         let flight = Arc::new(SingleFlight::new());
         let f2 = Arc::clone(&flight);
+        let (led, leading) = mpsc::channel();
         let leader = std::thread::spawn(move || {
             let _guard = match f2.join(9) {
                 Entry::Leader(g) => g,
                 Entry::Waited => panic!("must lead"),
             };
+            led.send(()).unwrap();
             // Wait for the follower to be blocked, then die.
             while f2.waiting() == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             panic!("leader dies mid-computation");
         });
+        // Join only once the leader holds the key, so this thread follows.
+        leading
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the spawned thread leads");
         let entry = flight.join(9);
         assert!(entry.waited(), "released by the unwinding leader");
         assert!(leader.join().is_err());

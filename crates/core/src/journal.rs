@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cache::{tmp_tag, unseal, write_sealed, Fnv64};
 use crate::cell::CellResult;
-use crate::recovery::{self, RecoveryKind};
 
 /// First line of the sealed manifest body.
 const MANIFEST_MAGIC: &str = "dmdc-manifest v1";
@@ -214,29 +213,24 @@ impl RunJournal {
             None => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 let _ = std::fs::remove_file(&path);
-                recovery::record(
-                    RecoveryKind::JournalDropped,
-                    format!("{key:016x}.entry"),
-                    "journal entry failed verification; cell re-simulates",
-                );
                 None
             }
         }
     }
 
-    /// Checkpoints a completed cell, sealed and via tmp + rename. A key
-    /// already served by replay is not rewritten. I/O failures are
-    /// swallowed — a journal that cannot write costs resume coverage,
-    /// never a wrong result.
-    pub fn record(&self, key: u64, cell: &CellResult) {
+    /// Checkpoints a completed cell, sealed and via tmp + rename, and
+    /// returns the written entry's path. A key already served by replay
+    /// is not rewritten. I/O failures are swallowed (`None`) — a journal
+    /// that cannot write costs resume coverage, never a wrong result.
+    pub fn record(&self, key: u64, cell: &CellResult) -> Option<PathBuf> {
         if self.preexisting.contains(&key) {
-            return;
+            return None;
         }
         let path = self.path_of(key);
-        if write_sealed(&path, &cell.to_record(), tmp_tag(key)) {
+        write_sealed(&path, &cell.to_record(), tmp_tag(key)).then(|| {
             self.recorded.fetch_add(1, Ordering::Relaxed);
-            crate::faults::on_journal_entry_written(&path);
-        }
+            path
+        })
     }
 
     /// Counters since this journal handle was opened.

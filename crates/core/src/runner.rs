@@ -15,9 +15,13 @@
 //! workload per engine and shared across every policy × config cell. The
 //! [`Engine::oracle_stats`] counters make the sharing observable.
 //!
-//! An engine can additionally carry a persistent [`CellCache`]
-//! ([`Engine::with_cache`], or process-wide via
-//! [`set_global_cell_cache`]): each cell is then looked up by content
+//! Everything else that shapes a run — the persistent cell cache and
+//! checkpoint store, the crash journal, single-flight coalescing, the
+//! fault plan, the retry and watchdog policy, the default sampling spec,
+//! profiling, and the sinks that collect profile totals and recovery
+//! tallies — travels in one explicit [`RunCtx`], handed to the engine
+//! with [`Engine::with_ctx`] and passed by reference down to the
+//! sampling driver. With a cell cache, each cell is looked up by content
 //! address before simulating, and a hit returns the previously verified
 //! result without running either the simulator or the emulator oracle.
 //! Because the cache stores full [`CellResult`]s keyed on everything that
@@ -25,7 +29,7 @@
 //! and fresh cells apart.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -35,12 +39,14 @@ use dmdc_ooo::{
 };
 use dmdc_workloads::Workload;
 
-use crate::cache::{workload_digest, CacheCounters, CellCache};
+use crate::cache::{workload_digest, CacheCounters, CellCache, CheckpointStore};
 use crate::cell::{CellError, CellFailure, CellResult, FailureKind};
 use crate::experiments::{PolicyKind, Run};
-use crate::flight::{Entry, FlightCounters, SingleFlight};
-use crate::journal::{JournalCounters, RunJournal};
-use crate::recovery::{self, RecoveryKind};
+use crate::faults::FaultPlan;
+use crate::flight::{Entry, SingleFlight};
+use crate::journal::RunJournal;
+use crate::recovery::{RecoveryCounters, Tallies};
+use crate::sampling::CkptMemo;
 
 /// One independent experiment cell: a single verified simulation.
 #[derive(Debug, Clone)]
@@ -56,19 +62,15 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A cell with default options, under the process-wide default
-    /// sampling mode (see [`set_default_sampling`]) — applied here, before
-    /// the spec's description and hence any cache or journal key is
-    /// derived, so sampled and exact cells can never collide.
+    /// A cell with default options. It carries no sampling spec of its
+    /// own, so the engine runs it under its context's
+    /// ([`RunCtx::sampling`]).
     pub fn new(workload: usize, config: &CoreConfig, policy: PolicyKind) -> RunSpec {
         RunSpec {
             workload,
             config: config.clone(),
             policy,
-            opts: SimOptions {
-                sampling: default_sampling(),
-                ..SimOptions::default()
-            },
+            opts: SimOptions::default(),
         }
     }
 
@@ -81,137 +83,175 @@ impl RunSpec {
     }
 }
 
-/// Process-wide default cell cache. The CLI installs one here (unless
-/// `--no-cache`); library callers and tests are uncached unless they opt
-/// in per engine with [`Engine::with_cache`].
-static GLOBAL_CACHE: Mutex<Option<Arc<CellCache>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide default cell
-/// cache picked up by every subsequently created [`Engine`].
-pub fn set_global_cell_cache(cache: Option<Arc<CellCache>>) {
-    *GLOBAL_CACHE.lock().expect("cell cache poisoned") = cache;
-}
-
-/// The process-wide default cell cache, if one is installed.
-pub fn global_cell_cache() -> Option<Arc<CellCache>> {
-    GLOBAL_CACHE.lock().expect("cell cache poisoned").clone()
-}
-
-/// Process-wide single-flight table over cell cache keys (see
-/// [`crate::flight`]). The service installs one so that concurrent jobs
-/// hitting the same cell coalesce into one simulation; the one-shot CLI
-/// leaves the slot empty and is unaffected.
-static GLOBAL_FLIGHT: Mutex<Option<Arc<SingleFlight>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide single-flight
-/// table picked up by every subsequently created [`Engine`].
-pub fn set_global_flight(flight: Option<Arc<SingleFlight>>) {
-    *GLOBAL_FLIGHT.lock().expect("flight slot poisoned") = flight;
-}
-
-/// The process-wide single-flight table, if one is installed.
-pub fn global_flight() -> Option<Arc<SingleFlight>> {
-    GLOBAL_FLIGHT.lock().expect("flight slot poisoned").clone()
-}
-
-/// Process-wide default run journal (crash-safe checkpoint/resume). The
-/// CLI installs one per `suite`/`experiment` invocation; `--resume`
-/// reopens a previous run's journal instead.
-static GLOBAL_JOURNAL: Mutex<Option<Arc<RunJournal>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide run journal
-/// picked up by every subsequently created [`Engine`].
-pub fn set_global_journal(journal: Option<Arc<RunJournal>>) {
-    *GLOBAL_JOURNAL.lock().expect("journal slot poisoned") = journal;
-}
-
-/// The process-wide run journal, if one is installed.
-pub fn global_journal() -> Option<Arc<RunJournal>> {
-    GLOBAL_JOURNAL
-        .lock()
-        .expect("journal slot poisoned")
-        .clone()
-}
-
-/// Process-wide persistent checkpoint store (see
-/// [`CheckpointStore`](crate::cache::CheckpointStore)). The CLI installs
-/// one alongside the cell cache (unless `--no-cache`); with it, sampled
-/// cells restore their fast-forward checkpoints from the shared store
-/// instead of re-emulating.
-static GLOBAL_CHECKPOINTS: Mutex<Option<Arc<crate::cache::CheckpointStore>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide checkpoint store
-/// consulted by every subsequently executed sampled cell.
-pub fn set_global_checkpoint_store(store: Option<Arc<crate::cache::CheckpointStore>>) {
-    *GLOBAL_CHECKPOINTS
-        .lock()
-        .expect("checkpoint store poisoned") = store;
-}
-
-/// The process-wide checkpoint store, if one is installed.
-pub fn global_checkpoint_store() -> Option<Arc<crate::cache::CheckpointStore>> {
-    GLOBAL_CHECKPOINTS
-        .lock()
-        .expect("checkpoint store poisoned")
-        .clone()
-}
-
-/// Process-wide default for per-cell retries (how many times a panicking,
-/// timed-out or erroring cell is re-attempted before quarantine). The
-/// CLI's `--retries` flag sets this.
-static RETRIES: AtomicUsize = AtomicUsize::new(DEFAULT_RETRIES);
-
 /// Retries a failing cell gets by default: one — enough to absorb any
 /// transient fault while a deterministic bug only costs one extra
 /// attempt before it is quarantined.
 pub const DEFAULT_RETRIES: usize = 1;
 
-/// Sets the process-wide default retry count.
-pub fn set_default_retries(retries: usize) {
-    RETRIES.store(retries, Ordering::Relaxed);
+/// Everything one run executes under: the stores it reads and writes,
+/// its execution policy, and the sink its measurements land in. A plain
+/// `Clone` value — clones share the `Arc`ed stores and the sink — built
+/// by each entry point (the CLI from its flags, the daemon once at boot,
+/// tests inline) and passed down explicitly, so two contexts in one
+/// process never see each other's cache, journal, counters or memo.
+#[derive(Clone)]
+pub struct RunCtx {
+    /// Content-addressed cell cache (`None` = every cell simulates).
+    pub cache: Option<Arc<CellCache>>,
+    /// Persistent store of sampling checkpoints (`None` = sampled cells
+    /// fast-forward unless the in-process memo already holds a window).
+    pub checkpoints: Option<Arc<CheckpointStore>>,
+    /// Crash-safe run journal; sampled cells also keep their
+    /// partial-progress envelopes under its run directory.
+    pub journal: Option<Arc<RunJournal>>,
+    /// Single-flight table over cell-cache keys. Coalescing requires a
+    /// cell cache — the flight only sequences threads around the cache as
+    /// the shared result store — so a ctx with a flight but no cache
+    /// simulates every cell itself.
+    pub flight: Option<Arc<SingleFlight>>,
+    /// Deterministic fault injection (tests and CI smoke runs only).
+    pub faults: Option<Arc<FaultPlan>>,
+    /// Worker count; 0 resolves to `DMDC_JOBS`, then the machine's
+    /// available parallelism.
+    pub jobs: usize,
+    /// How many times a failing cell is retried before quarantine.
+    pub retries: usize,
+    /// Per-cell wall-clock watchdog. With a timeout, each attempt runs on
+    /// a detached watchdog thread; an attempt that outlives it is
+    /// abandoned and counted as a [`FailureKind::Timeout`].
+    pub cell_timeout: Option<Duration>,
+    /// Sampling spec applied to every experiment variant that does not
+    /// carry its own ([`SampleSpec::EXACT`] = exact simulation).
+    pub sampling: SampleSpec,
+    /// Collect a [`SimProfile`] for every run and fold it into the sink.
+    pub profile: bool,
+    /// Where this run's profile totals, recovery tallies and in-process
+    /// checkpoint memo live.
+    pub sink: Arc<RunSink>,
 }
 
-/// The process-wide default retry count.
-pub fn default_retries() -> usize {
-    RETRIES.load(Ordering::Relaxed)
-}
-
-/// Process-wide default per-cell wall-clock watchdog in milliseconds
-/// (0 = no watchdog). The CLI's `--cell-timeout` flag sets this.
-static CELL_TIMEOUT_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the process-wide default cell watchdog (`None` disables it).
-pub fn set_default_cell_timeout(timeout: Option<Duration>) {
-    CELL_TIMEOUT_MS.store(
-        timeout.map_or(0, |t| t.as_millis().max(1) as u64),
-        Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default cell watchdog, if one is set.
-pub fn default_cell_timeout() -> Option<Duration> {
-    match CELL_TIMEOUT_MS.load(Ordering::Relaxed) {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
+impl Default for RunCtx {
+    /// No stores, no faults, automatic worker count, [`DEFAULT_RETRIES`],
+    /// no watchdog, exact simulation, no profiling, and a fresh sink.
+    fn default() -> RunCtx {
+        RunCtx {
+            cache: None,
+            checkpoints: None,
+            journal: None,
+            flight: None,
+            faults: None,
+            jobs: 0,
+            retries: DEFAULT_RETRIES,
+            cell_timeout: None,
+            sampling: SampleSpec::EXACT,
+            profile: false,
+            sink: Arc::default(),
+        }
     }
 }
 
-/// Process-wide override for the worker count (0 = unset). The CLI's
-/// `--jobs` flag sets this; `DMDC_JOBS` and the machine's parallelism are
-/// the fallbacks.
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count (`0` clears the override).
-pub fn set_default_jobs(jobs: usize) {
-    JOBS_OVERRIDE.store(jobs, Ordering::Relaxed);
+/// The measurements a run accumulates as it executes, shared by every
+/// clone of its [`RunCtx`].
+#[derive(Default)]
+pub struct RunSink {
+    profile: Mutex<ProfileTotals>,
+    pub(crate) recovery: Tallies,
+    pub(crate) memo: Mutex<CkptMemo>,
 }
 
-/// Resolves the worker count: explicit override (`set_default_jobs`), then
-/// the `DMDC_JOBS` environment variable, then available parallelism.
-pub fn default_jobs() -> usize {
-    let o = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
+impl RunCtx {
+    /// Returns and resets the profile totals accumulated so far.
+    pub fn take_profile_totals(&self) -> ProfileTotals {
+        std::mem::take(&mut *lock(&self.sink.profile))
+    }
+
+    /// Faults survived so far: the ctx's own tallies plus the integrity
+    /// counters of its cache, checkpoint store and journal.
+    pub fn recovery(&self) -> RecoveryCounters {
+        let corrupt = |c: Option<CacheCounters>| c.map_or(0, |c| c.corrupt);
+        let journal = self.journal.as_ref().map(|j| j.counters());
+        let t = &self.sink.recovery;
+        RecoveryCounters {
+            retries: t.retries.load(Ordering::Relaxed),
+            cell_failures: t.cell_failures.load(Ordering::Relaxed),
+            cache_quarantined: corrupt(self.cache.as_ref().map(|c| c.counters()))
+                + corrupt(self.checkpoints.as_ref().map(|s| s.counters())),
+            journal_dropped: journal.map_or(0, |j| j.dropped),
+            workers_lost: t.workers_lost.load(Ordering::Relaxed),
+            cells_resumed: journal.map_or(0, |j| j.replayed)
+                + t.sampled_resumes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Folds one run's profile into the sink. Called by the execution
+    /// funnel whenever a run carries a profile.
+    pub(crate) fn record_profile(&self, profile: &SimProfile, stats: &SimStats) {
+        lock(&self.sink.profile).add(profile, stats);
+    }
+
+    /// Folds one sampled cell's breakdown into the sink.
+    pub(crate) fn record_sampling(&self, sample: SamplingSample) {
+        let mut totals = lock(&self.sink.profile);
+        totals.ff_insts += sample.ff_insts;
+        totals.ff_nanos += sample.ff_nanos;
+        totals.compile_nanos += sample.compile_nanos;
+        totals.ff_blocks += sample.ff_blocks;
+        totals.ff_fallback_steps += sample.ff_fallback_steps;
+        totals.ckpt_shared += sample.ckpt_shared;
+        totals.window_nanos += sample.window_nanos;
+        totals.window_cycles += sample.window_cycles;
+        totals.window_committed += sample.window_committed;
+        totals.sampled_cells += 1;
+    }
+}
+
+/// The process-default context — the one slot [`Engine::with_jobs`] and
+/// the typed `*_on` regenerators start from when handed no [`RunCtx`].
+/// Only the five functions below write or drain it; nothing inside cell
+/// execution reads it.
+static DEFAULT_CTX: Mutex<Option<RunCtx>> = Mutex::new(None);
+
+/// A clone of the process-default context (sharing its stores and sink).
+pub(crate) fn default_ctx() -> RunCtx {
+    update_default_ctx(|ctx| ctx.clone())
+}
+
+fn update_default_ctx<R>(f: impl FnOnce(&mut RunCtx) -> R) -> R {
+    f(lock(&DEFAULT_CTX).get_or_insert_with(RunCtx::default))
+}
+
+/// Installs (or, with `None`, removes) the process-default cell cache.
+pub fn set_global_cell_cache(cache: Option<Arc<CellCache>>) {
+    update_default_ctx(|ctx| ctx.cache = cache);
+}
+
+/// Installs (or, with `None`, removes) the process-default checkpoint
+/// store.
+pub fn set_global_checkpoint_store(store: Option<Arc<CheckpointStore>>) {
+    update_default_ctx(|ctx| ctx.checkpoints = store);
+}
+
+/// Sets the process-default sampling spec ([`SampleSpec::EXACT`]
+/// restores exact simulation).
+pub fn set_default_sampling(spec: SampleSpec) {
+    update_default_ctx(|ctx| ctx.sampling = spec);
+}
+
+/// Enables (or disables) profiling in the process-default context.
+pub fn set_profile(enabled: bool) {
+    update_default_ctx(|ctx| ctx.profile = enabled);
+}
+
+/// Returns and resets the process-default context's profile totals.
+pub fn take_profile_totals() -> ProfileTotals {
+    default_ctx().take_profile_totals()
+}
+
+/// Resolves a worker count: an explicit count wins, then the `DMDC_JOBS`
+/// environment variable, then available parallelism.
+fn resolve_jobs(jobs: usize) -> usize {
+    if jobs > 0 {
+        return jobs;
     }
     if let Some(n) = std::env::var("DMDC_JOBS")
         .ok()
@@ -226,57 +266,7 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Process-wide default sampling spec (the CLI sets this for `--scale
-/// full` unless `--exact`, or anywhere with `--sampled`). Experiment
-/// plans apply it to every variant that does not carry its own spec, so
-/// the spec lands in [`RunSpec::opts`] **before** any cache or journal
-/// key is computed — sampled and exact cells can never collide.
-static DEFAULT_SAMPLING: Mutex<SampleSpec> = Mutex::new(SampleSpec::EXACT);
-
-/// Sets the process-wide default sampling spec ([`SampleSpec::EXACT`]
-/// restores exact simulation).
-pub fn set_default_sampling(spec: SampleSpec) {
-    *DEFAULT_SAMPLING.lock().expect("sampling spec poisoned") = spec;
-}
-
-/// The process-wide default sampling spec.
-pub fn default_sampling() -> SampleSpec {
-    *DEFAULT_SAMPLING.lock().expect("sampling spec poisoned")
-}
-
-/// Process-wide switch (the CLI's `--profile` flag): when set, every
-/// verified run collects a [`SimProfile`] and folds it into the global
-/// [`ProfileTotals`], so experiment commands can report a per-stage
-/// breakdown without threading an option through every regenerator.
-static PROFILE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-static PROFILE_TOTALS: Mutex<ProfileTotals> = Mutex::new(ProfileTotals::new());
-
-/// Enables (or disables) run profiling process-wide.
-pub fn set_profile(enabled: bool) {
-    PROFILE_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether run profiling is enabled process-wide.
-pub fn profile_enabled() -> bool {
-    PROFILE_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Folds one run's profile into the process-wide totals. Called by the
-/// execution funnel whenever a run carries a profile.
-pub(crate) fn record_profile(profile: &SimProfile, stats: &SimStats) {
-    PROFILE_TOTALS
-        .lock()
-        .expect("profile totals poisoned")
-        .add(profile, stats);
-}
-
-/// Returns and resets the accumulated profile totals.
-pub fn take_profile_totals() -> ProfileTotals {
-    std::mem::take(&mut *PROFILE_TOTALS.lock().expect("profile totals poisoned"))
-}
-
-/// One sampled cell's mode breakdown, folded into the process-wide
+/// One sampled cell's mode breakdown, folded into the ctx's
 /// [`ProfileTotals`] by the sampling driver when profiling is on: how
 /// many instructions the functional fast-forward covered (and how — whole
 /// compiled blocks vs. single-step fallbacks), how many cycles and
@@ -295,24 +285,9 @@ pub(crate) struct SamplingSample {
     pub window_committed: u64,
 }
 
-/// Folds one sampled cell's breakdown into the process-wide totals.
-pub(crate) fn record_sampling(sample: SamplingSample) {
-    let mut totals = PROFILE_TOTALS.lock().expect("profile totals poisoned");
-    totals.ff_insts += sample.ff_insts;
-    totals.ff_nanos += sample.ff_nanos;
-    totals.compile_nanos += sample.compile_nanos;
-    totals.ff_blocks += sample.ff_blocks;
-    totals.ff_fallback_steps += sample.ff_fallback_steps;
-    totals.ckpt_shared += sample.ckpt_shared;
-    totals.window_nanos += sample.window_nanos;
-    totals.window_cycles += sample.window_cycles;
-    totals.window_committed += sample.window_committed;
-    totals.sampled_cells += 1;
-}
-
 /// Aggregated [`SimProfile`]s across every profiled run since the last
-/// [`take_profile_totals`] call.
-#[derive(Debug, Clone, Copy)]
+/// [`RunCtx::take_profile_totals`] call.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProfileTotals {
     /// Host nanoseconds per stage, summed over runs.
     pub stage_nanos: [u64; PROFILE_STAGES],
@@ -357,28 +332,6 @@ pub struct ProfileTotals {
 }
 
 impl ProfileTotals {
-    const fn new() -> ProfileTotals {
-        ProfileTotals {
-            stage_nanos: [0; PROFILE_STAGES],
-            stage_active_cycles: [0; PROFILE_STAGES],
-            executed_cycles: 0,
-            simulated_cycles: 0,
-            skipped_cycles: 0,
-            fast_forwards: 0,
-            runs: 0,
-            ff_insts: 0,
-            ff_nanos: 0,
-            compile_nanos: 0,
-            ff_blocks: 0,
-            ff_fallback_steps: 0,
-            ckpt_shared: 0,
-            window_nanos: 0,
-            window_cycles: 0,
-            window_committed: 0,
-            sampled_cells: 0,
-        }
-    }
-
     fn add(&mut self, p: &SimProfile, stats: &SimStats) {
         for i in 0..PROFILE_STAGES {
             self.stage_nanos[i] += p.stage_nanos[i];
@@ -445,12 +398,6 @@ impl ProfileTotals {
             );
         }
         out
-    }
-}
-
-impl Default for ProfileTotals {
-    fn default() -> ProfileTotals {
-        ProfileTotals::new()
     }
 }
 
@@ -534,79 +481,32 @@ pub struct Engine<'w> {
     workloads: &'w [Workload],
     oracle: EmuOracle,
     jobs: usize,
-    cache: Option<Arc<CellCache>>,
-    flight: Option<Arc<SingleFlight>>,
-    journal: Option<Arc<RunJournal>>,
-    retries: usize,
-    cell_timeout: Option<Duration>,
+    ctx: RunCtx,
     digests: Vec<OnceLock<u64>>,
 }
 
 impl<'w> Engine<'w> {
-    /// An engine using the resolved default worker count and the
-    /// process-wide cell cache, journal and retry policy (if installed).
-    pub fn new(workloads: &'w [Workload]) -> Engine<'w> {
-        Engine::with_jobs(workloads, default_jobs())
+    /// An engine under the process-default context with an explicit
+    /// worker count (`1` = fully serial).
+    pub fn with_jobs(workloads: &'w [Workload], jobs: usize) -> Engine<'w> {
+        Engine::with_ctx(
+            workloads,
+            RunCtx {
+                jobs: jobs.max(1),
+                ..default_ctx()
+            },
+        )
     }
 
-    /// An engine with an explicit worker count (`1` = fully serial) and
-    /// the process-wide cell cache, journal and retry policy.
-    pub fn with_jobs(workloads: &'w [Workload], jobs: usize) -> Engine<'w> {
+    /// An engine under `ctx`: its stores, execution policy and sink.
+    pub fn with_ctx(workloads: &'w [Workload], ctx: RunCtx) -> Engine<'w> {
         Engine {
             workloads,
             oracle: EmuOracle::new(workloads.len()),
-            jobs: jobs.max(1),
-            cache: global_cell_cache(),
-            flight: global_flight(),
-            journal: global_journal(),
-            retries: default_retries(),
-            cell_timeout: default_cell_timeout(),
+            jobs: resolve_jobs(ctx.jobs),
+            ctx,
             digests: (0..workloads.len()).map(|_| OnceLock::new()).collect(),
         }
-    }
-
-    /// Replaces the engine's cell cache (`None` disables caching for this
-    /// engine regardless of the process-wide default).
-    pub fn with_cache(mut self, cache: Option<Arc<CellCache>>) -> Engine<'w> {
-        self.cache = cache;
-        self
-    }
-
-    /// Replaces the engine's run journal (`None` disables journaling for
-    /// this engine regardless of the process-wide default).
-    pub fn with_journal(mut self, journal: Option<Arc<RunJournal>>) -> Engine<'w> {
-        self.journal = journal;
-        self
-    }
-
-    /// Replaces the engine's single-flight table (`None` disables
-    /// coalescing for this engine regardless of the process-wide default).
-    /// Coalescing requires a cell cache — the flight only sequences
-    /// threads around the cache as the shared result store — so an engine
-    /// with a flight but no cache simulates every cell itself.
-    pub fn with_flight(mut self, flight: Option<Arc<SingleFlight>>) -> Engine<'w> {
-        self.flight = flight;
-        self
-    }
-
-    /// The single-flight table's counters, if this engine carries one.
-    pub fn flight_counters(&self) -> Option<FlightCounters> {
-        self.flight.as_ref().map(|f| f.counters())
-    }
-
-    /// Sets how many times a failing cell is retried before quarantine
-    /// (`0` = quarantine on the first failure).
-    pub fn with_retries(mut self, retries: usize) -> Engine<'w> {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the per-cell wall-clock watchdog. With a timeout, each attempt
-    /// runs on a detached watchdog thread; an attempt that outlives the
-    /// timeout is abandoned and counted as a [`FailureKind::Timeout`].
-    pub fn with_cell_timeout(mut self, timeout: Option<Duration>) -> Engine<'w> {
-        self.cell_timeout = timeout;
-        self
     }
 
     /// The configured worker count.
@@ -616,12 +516,7 @@ impl<'w> Engine<'w> {
 
     /// The cell cache's counters, if this engine carries a cache.
     pub fn cache_counters(&self) -> Option<CacheCounters> {
-        self.cache.as_ref().map(|c| c.counters())
-    }
-
-    /// The run journal's counters, if this engine carries a journal.
-    pub fn journal_counters(&self) -> Option<JournalCounters> {
-        self.journal.as_ref().map(|j| j.counters())
+        self.ctx.cache.as_ref().map(|c| c.counters())
     }
 
     /// The content digest of `workloads[index]`, computed at most once.
@@ -667,17 +562,32 @@ impl<'w> Engine<'w> {
     /// 4. a cell that exhausts its retries comes back as a structured
     ///    [`CellFailure`] instead of killing the process.
     pub fn try_run_cell(&self, spec: &RunSpec) -> Result<CellResult, CellFailure> {
+        // A cell that carries no sampling spec runs under the ctx's —
+        // applied before the description (and so any cache or journal
+        // key) is derived, so sampled and exact cells never collide.
+        let sampled;
+        let spec = if spec.opts.sampling.enabled() || !self.ctx.sampling.enabled() {
+            spec
+        } else {
+            sampled = RunSpec {
+                opts: SimOptions {
+                    sampling: self.ctx.sampling,
+                    ..spec.opts
+                },
+                ..spec.clone()
+            };
+            &sampled
+        };
         let name = self.workloads[spec.workload].name;
         let desc = spec.desc();
         let digest = self.digest(spec.workload);
-        if let Some(journal) = &self.journal {
-            let key = journal.key(digest, &desc);
-            if let Some(cell) = journal.replay(key, name) {
-                recovery::record(RecoveryKind::CellResumed, name, &desc);
+        let ctx = &self.ctx;
+        if let Some(journal) = &ctx.journal {
+            if let Some(cell) = journal.replay(journal.key(digest, &desc), name) {
                 return Ok(cell);
             }
         }
-        let cached = self.cache.as_ref().and_then(|cache| {
+        let cached = ctx.cache.as_ref().and_then(|cache| {
             let key = cache.key(digest, &desc);
             cache.load(key, name).map(|cell| (key, cell))
         });
@@ -692,7 +602,7 @@ impl<'w> Engine<'w> {
         // after the leader's `cache.store` — or after its failure, in
         // which case the re-read misses and the follower simulates for
         // itself (coalescing may delay a result, never lose one).
-        let _lead = match (self.cache.as_ref(), self.flight.as_ref()) {
+        let _lead = match (ctx.cache.as_ref(), ctx.flight.as_ref()) {
             (Some(cache), Some(flight)) => {
                 let key = cache.key(digest, &desc);
                 match flight.join(key) {
@@ -718,18 +628,20 @@ impl<'w> Engine<'w> {
             }
             _ => None,
         };
-        let attempts = self.retries + 1;
+        let attempts = ctx.retries + 1;
         let mut last = None;
         for attempt in 0..attempts {
             if attempt > 0 {
-                let err: &CellError = last.as_ref().expect("retry follows a failure");
-                recovery::record(RecoveryKind::CellRetry, name, err.to_string());
+                ctx.sink.recovery.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(backoff(attempt));
             }
             match self.attempt(spec, attempt as u32) {
                 Ok(cell) => {
-                    if let Some(cache) = &self.cache {
-                        cache.store(cache.key(digest, &desc), &cell);
+                    if let Some(cache) = &ctx.cache {
+                        let written = cache.store(cache.key(digest, &desc), &cell);
+                        if let (Some(plan), Some(path)) = (&ctx.faults, written) {
+                            plan.on_cache_entry_written(&path);
+                        }
                     }
                     self.checkpoint(digest, &desc, &cell);
                     return Ok(cell);
@@ -737,8 +649,11 @@ impl<'w> Engine<'w> {
                 Err(e) => last = Some(e),
             }
         }
-        let err = last.expect("at least one attempt ran");
-        recovery::record(RecoveryKind::CellQuarantined, name, err.to_string());
+        let err: CellError = last.expect("at least one attempt ran");
+        ctx.sink
+            .recovery
+            .cell_failures
+            .fetch_add(1, Ordering::Relaxed);
         Err(CellFailure {
             workload: name.to_string(),
             spec: desc,
@@ -751,8 +666,11 @@ impl<'w> Engine<'w> {
     /// Checkpoints a completed cell into the run journal, if one is
     /// attached.
     fn checkpoint(&self, digest: u64, desc: &str, cell: &CellResult) {
-        if let Some(journal) = &self.journal {
-            journal.record(journal.key(digest, desc), cell);
+        if let Some(journal) = &self.ctx.journal {
+            let written = journal.record(journal.key(digest, desc), cell);
+            if let (Some(plan), Some(path)) = (&self.ctx.faults, written) {
+                plan.on_journal_entry_written(&path);
+            }
         }
     }
 
@@ -760,10 +678,10 @@ impl<'w> Engine<'w> {
     /// timeout configured the attempt runs on a detached watchdog thread
     /// so a hung simulation cannot wedge the suite.
     fn attempt(&self, spec: &RunSpec, attempt: u32) -> Result<CellResult, CellError> {
-        match self.cell_timeout {
+        match self.ctx.cell_timeout {
             None => {
                 let w = &self.workloads[spec.workload];
-                catch_attempt(w, spec, attempt, || {
+                catch_attempt(&self.ctx, w, spec, attempt, || {
                     self.oracle.reference(self.workloads, spec.workload)
                 })
             }
@@ -785,18 +703,19 @@ impl<'w> Engine<'w> {
         let oracle = self.oracle.reference(self.workloads, spec.workload);
         let workload = self.workloads[spec.workload].clone();
         let owned = spec.clone();
+        let ctx = self.ctx.clone();
         let (tx, rx) = mpsc::channel();
         let spawned = std::thread::Builder::new()
             .name("dmdc-cell-watchdog".to_string())
             .spawn(move || {
-                let result = catch_attempt(&workload, &owned, attempt, move || oracle);
+                let result = catch_attempt(&ctx, &workload, &owned, attempt, move || oracle);
                 let _ = tx.send(result);
             });
         if spawned.is_err() {
             // Thread exhaustion: degrade to an inline attempt rather than
             // failing the cell.
             let w = &self.workloads[spec.workload];
-            return catch_attempt(w, spec, attempt, || {
+            return catch_attempt(&self.ctx, w, spec, attempt, || {
                 self.oracle.reference(self.workloads, spec.workload)
             });
         }
@@ -857,9 +776,11 @@ impl<'w> Engine<'w> {
                             if i >= specs.len() {
                                 break;
                             }
-                            crate::faults::on_worker_cell(i);
+                            if let Some(plan) = &self.ctx.faults {
+                                plan.on_worker_cell(i);
+                            }
                             let result = self.try_run_cell(&specs[i]);
-                            *lock_slot(&slots[i]) = Some(result);
+                            *lock(&slots[i]) = Some(result);
                         }));
                         if outcome.is_err() {
                             lost.fetch_add(1, Ordering::Relaxed);
@@ -867,28 +788,27 @@ impl<'w> Engine<'w> {
                     });
                 }
             });
-            for _ in 0..lost.load(Ordering::Relaxed) {
-                recovery::record(
-                    RecoveryKind::WorkerLost,
-                    "worker",
-                    "worker thread died; its cells re-ran serially",
-                );
-            }
+            // Each lost worker's unfinished cells re-run serially below.
+            self.ctx
+                .sink
+                .recovery
+                .workers_lost
+                .fetch_add(lost.into_inner() as u64, Ordering::Relaxed);
         }
         // Serial path — and the degradation path: any cell not completed
         // by the pool (jobs = 1, or a slot claimed by a worker that died)
         // runs here on the calling thread.
         for (i, slot) in slots.iter().enumerate() {
-            let done = lock_slot(slot).is_some();
+            let done = lock(slot).is_some();
             if !done {
                 let result = self.try_run_cell(&specs[i]);
-                *lock_slot(slot) = Some(result);
+                *lock(slot) = Some(result);
             }
         }
         let mut cells = Vec::with_capacity(specs.len());
         let mut failures = Vec::new();
         for slot in slots {
-            match lock_slot(&slot).take().expect("every slot filled") {
+            match lock(&slot).take().expect("every slot filled") {
                 Ok(cell) => cells.push(Some(cell)),
                 Err(failure) => {
                     failures.push(failure);
@@ -900,9 +820,9 @@ impl<'w> Engine<'w> {
     }
 }
 
-/// Locks a result slot, surviving poisoning (a worker that died while
-/// holding the lock must not take the suite down with it).
-fn lock_slot<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks, surviving poisoning (a worker that died while holding the lock
+/// must not take the suite down with it).
+pub(crate) fn lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match slot.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -921,14 +841,18 @@ fn backoff(attempt: usize) -> Duration {
 /// execution funnel, under `catch_unwind` so a panicking policy or
 /// simulator bug becomes a structured [`CellError`].
 fn catch_attempt(
+    ctx: &RunCtx,
     workload: &Workload,
     spec: &RunSpec,
     attempt: u32,
     oracle: impl FnOnce() -> Result<(u64, u64), String>,
 ) -> Result<CellResult, CellError> {
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        crate::faults::on_cell_attempt(workload.name, attempt);
+        if let Some(plan) = &ctx.faults {
+            plan.on_cell_attempt(workload.name, attempt);
+        }
         crate::experiments::execute_verified(
+            ctx,
             workload,
             &spec.config,
             &spec.policy,
@@ -952,16 +876,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Convenience: runs `specs` over `workloads` with the default worker
-/// count and reports the oracle counters through the returned engine-less
-/// tuple `(runs, hits, misses)`.
-pub fn run_specs(workloads: &[Workload], specs: &[RunSpec]) -> (Vec<Run>, u64, u64) {
-    let engine = Engine::new(workloads);
-    let runs = engine.run_all(specs);
-    let (hits, misses) = engine.oracle_stats();
-    (runs, hits, misses)
 }
 
 #[cfg(test)]
@@ -1037,13 +951,16 @@ mod tests {
             RunSpec::new(0, &config, PolicyKind::DmdcGlobal),
             RunSpec::new(1, &config, PolicyKind::Baseline),
         ];
-        let cold_engine =
-            Engine::with_jobs(&ws, 1).with_cache(Some(Arc::new(CellCache::new(&dir))));
+        let cached = || RunCtx {
+            jobs: 1,
+            cache: Some(Arc::new(CellCache::new(&dir))),
+            ..RunCtx::default()
+        };
+        let cold_engine = Engine::with_ctx(&ws, cached());
         let cold = cold_engine.run_all(&specs);
         let c = cold_engine.cache_counters().unwrap();
         assert_eq!((c.hits, c.misses, c.stores), (0, 2, 2));
-        let warm_engine =
-            Engine::with_jobs(&ws, 1).with_cache(Some(Arc::new(CellCache::new(&dir))));
+        let warm_engine = Engine::with_ctx(&ws, cached());
         let warm = warm_engine.run_all(&specs);
         let c = warm_engine.cache_counters().unwrap();
         assert_eq!((c.hits, c.misses, c.stores), (2, 0, 0));
@@ -1055,9 +972,17 @@ mod tests {
 
     #[test]
     fn jobs_resolution_prefers_override() {
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
+        let jobs = |jobs| {
+            Engine::with_ctx(
+                &[],
+                RunCtx {
+                    jobs,
+                    ..RunCtx::default()
+                },
+            )
+            .jobs()
+        };
+        assert_eq!(jobs(3), 3);
+        assert!(jobs(0) >= 1);
     }
 }

@@ -46,7 +46,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dmdc_isa::{BlockCode, Emulator, Inst, Program, Retired, SilentObserver, SparseMemory};
@@ -60,6 +61,7 @@ use dmdc_workloads::Workload;
 use crate::cache::{workload_digest, write_sealed, Fnv64};
 use crate::cell::{CellError, CellResult, FailureKind};
 use crate::experiments::PolicyKind;
+use crate::runner::{lock, RunCtx, SamplingSample};
 
 /// Magic + version line of the persisted partial-progress envelope.
 const SAMPLE_MAGIC: &str = "dmdc-sample v1";
@@ -327,60 +329,56 @@ fn parse_array(body: &str) -> Option<[u64; 32]> {
 // ---------------------------------------------------------------------
 // In-process checkpoint memo: the RAM tier above the persistent
 // `CheckpointStore`. Checkpoints are policy-independent (see the key
-// derivation in `execute_sampled`), so within one process the first cell
+// derivation in `execute_sampled`), so within one run context the first cell
 // to fast-forward a (workload, config, sampling) stream publishes its
 // checkpoints here and every other policy's cells restore instead of
 // re-emulating — even under `--no-cache`, which only disables the *disk*
 // tiers. Purely an accelerator: entries are exact `Checkpoint` values, a
 // miss (or an evicted entry) just re-runs the fast-forward, and the memo
-// dies with the process, so crash resume never depends on it.
+// dies with its run context, so crash resume never depends on it.
 
 /// FIFO-evicted memo cap. Full-suite runs need well under this; the cap
 /// only guards pathological long-lived processes.
 const MEMO_CAP_BYTES: usize = 256 << 20;
 
-struct CkptMemo {
+/// The memo itself, one per run context
+/// ([`RunSink`](crate::runner::RunSink)).
+#[derive(Default)]
+pub(crate) struct CkptMemo {
     map: HashMap<u64, Arc<Checkpoint>>,
     order: VecDeque<u64>,
     bytes: usize,
 }
 
-static CKPT_MEMO: Mutex<Option<CkptMemo>> = Mutex::new(None);
-
-/// The memo key: the persistent store's key derivation minus the build
-/// fingerprint (meaningless within a single process).
-fn memo_key(workload_digest: u64, sample_desc: &str, window: u32) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(workload_digest);
-    h.write(sample_desc.as_bytes());
-    h.write_u64(window as u64);
-    h.finish()
-}
-
-fn memo_load(key: u64) -> Option<Arc<Checkpoint>> {
-    let guard = CKPT_MEMO.lock().expect("checkpoint memo poisoned");
-    guard.as_ref().and_then(|m| m.map.get(&key).cloned())
-}
-
-fn memo_publish(key: u64, ck: Arc<Checkpoint>) {
-    let mut guard = CKPT_MEMO.lock().expect("checkpoint memo poisoned");
-    let memo = guard.get_or_insert_with(|| CkptMemo {
-        map: HashMap::new(),
-        order: VecDeque::new(),
-        bytes: 0,
-    });
-    if memo.map.contains_key(&key) {
-        return;
+impl CkptMemo {
+    /// The memo key: the persistent store's key derivation minus the
+    /// build fingerprint (meaningless within a single process).
+    fn key(workload_digest: u64, sample_desc: &str, window: u32) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(workload_digest);
+        h.write(sample_desc.as_bytes());
+        h.write_u64(window as u64);
+        h.finish()
     }
-    memo.bytes += ck.approx_bytes();
-    memo.map.insert(key, ck);
-    memo.order.push_back(key);
-    while memo.bytes > MEMO_CAP_BYTES {
-        let Some(old) = memo.order.pop_front() else {
-            break;
-        };
-        if let Some(ck) = memo.map.remove(&old) {
-            memo.bytes = memo.bytes.saturating_sub(ck.approx_bytes());
+
+    fn load(&self, key: u64) -> Option<Arc<Checkpoint>> {
+        self.map.get(&key).cloned()
+    }
+
+    fn publish(&mut self, key: u64, ck: Arc<Checkpoint>) {
+        if self.map.contains_key(&key) {
+            return;
+        }
+        self.bytes += ck.approx_bytes();
+        self.map.insert(key, ck);
+        self.order.push_back(key);
+        while self.bytes > MEMO_CAP_BYTES {
+            let Some(old) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(ck) = self.map.remove(&old) {
+                self.bytes = self.bytes.saturating_sub(ck.approx_bytes());
+            }
         }
     }
 }
@@ -513,6 +511,7 @@ impl Layout {
 /// population is too small fall back to the exact path (still keyed as
 /// sampled cells, so the fallback is itself deterministic and cacheable).
 pub(crate) fn execute_sampled(
+    ctx: &RunCtx,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
@@ -522,7 +521,7 @@ pub(crate) fn execute_sampled(
     let (expected, population) =
         oracle().map_err(|e| CellError::new(FailureKind::OracleMustHalt, e))?;
     let Some(layout) = Layout::plan(&opts.sampling, population) else {
-        return crate::experiments::execute_exact(workload, config, policy_kind, opts, || {
+        return crate::experiments::execute_exact(ctx, workload, config, policy_kind, opts, || {
             Ok((expected, population))
         });
     };
@@ -531,7 +530,7 @@ pub(crate) fn execute_sampled(
 
     // Partial-progress envelope (crash resume): locate it under the run
     // journal, keyed exactly like the cell itself.
-    let envelope = crate::runner::global_journal().map(|journal| {
+    let envelope = ctx.journal.as_ref().map(|journal| {
         let desc = format!("{config:?}|{policy_kind:?}|{opts:?}");
         let key = journal.key(digest, &desc);
         let path = journal
@@ -545,14 +544,14 @@ pub(crate) fn execute_sampled(
     // program, config, sampling layout and warming horizon — notably NOT
     // of the policy under test — so the description deliberately omits
     // the policy. Within one cold run the first policy's cells populate
-    // the in-process memo (and the store, when installed) and every other
+    // the run's memo (and the ctx's store, if any) and every other
     // policy restores from it; a warm run restores everything and
     // fast-forwards nothing.
     let sample_desc = format!(
         "{config:?}|{:?}|pop {population}|horizon {WARM_HORIZON}",
         opts.sampling
     );
-    let store = crate::runner::global_checkpoint_store();
+    let store = ctx.checkpoints.as_ref();
 
     // Pre-decode the program once per cell; every fast-forward stretch
     // below executes through the compiled blocks.
@@ -571,11 +570,10 @@ pub(crate) fn execute_sampled(
                 warm = w;
                 deltas = partial.deltas;
                 pending = Some(partial.checkpoint);
-                crate::recovery::record(
-                    crate::recovery::RecoveryKind::CellResumed,
-                    workload.name,
-                    format!("sampled cell resumed at window {}", deltas.len()),
-                );
+                ctx.sink
+                    .recovery
+                    .sampled_resumes
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -595,9 +593,9 @@ pub(crate) fn execute_sampled(
                 // earlier cell in this process — typically the same
                 // workload under a different policy — already produced
                 // this window's checkpoint.
-                let mkey = memo_key(digest, &sample_desc, i as u32);
-                let memoed =
-                    memo_load(mkey).and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)));
+                let mkey = CkptMemo::key(digest, &sample_desc, i as u32);
+                let memoed = lock(&ctx.sink.memo).load(mkey);
+                let memoed = memoed.and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)));
                 let ck = match memoed {
                     Some((ck, w)) => {
                         emu = ck.restore_emulator(&workload.program);
@@ -612,7 +610,7 @@ pub(crate) fn execute_sampled(
                         // checkpoint (exactly as crash resume does), so a
                         // later miss window fast-forwards from consistent
                         // state.
-                        let stored = store.as_ref().and_then(|s| {
+                        let stored = store.and_then(|s| {
                             let key = s.key(digest, &sample_desc, i as u32);
                             s.load(key, workload.name, i as u32)
                                 .and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)))
@@ -668,39 +666,51 @@ pub(crate) fn execute_sampled(
                                 })?;
                                 ff_nanos += t0.elapsed().as_nanos() as u64;
                                 let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
-                                if let Some(s) = &store {
-                                    s.store(
-                                        s.key(digest, &sample_desc, i as u32),
-                                        workload.name,
-                                        &ck,
-                                    );
+                                if let Some(s) = store {
+                                    let key = s.key(digest, &sample_desc, i as u32);
+                                    let written = s.store(key, workload.name, &ck);
+                                    if let (Some(plan), Some(path)) = (&ctx.faults, written) {
+                                        plan.on_cache_entry_written(&path);
+                                    }
                                 }
                                 ck
                             }
                         };
-                        memo_publish(mkey, Arc::clone(&ck));
+                        lock(&ctx.sink.memo).publish(mkey, Arc::clone(&ck));
                         ck
                     }
                 };
                 if let Some((path, key)) = &envelope {
-                    persist_partial(path, *key, &opts.sampling, population, &deltas, &ck);
+                    if persist_partial(path, *key, &opts.sampling, population, &deltas, &ck) {
+                        if let Some(plan) = &ctx.faults {
+                            plan.on_journal_entry_written(path);
+                        }
+                    }
                 }
                 ck
             }
         };
         let t0 = Instant::now();
-        let delta = run_window(workload, config, policy_kind, opts, &layout, &checkpoint)?;
+        let delta = run_window(
+            ctx,
+            workload,
+            config,
+            policy_kind,
+            opts,
+            &layout,
+            &checkpoint,
+        )?;
         window_nanos += t0.elapsed().as_nanos() as u64;
         deltas.push(delta);
     }
     if let Some((path, _)) = &envelope {
         let _ = std::fs::remove_file(path);
     }
-    if crate::runner::profile_enabled() {
+    if ctx.profile {
         // Export order puts cycles first and committed second (see
         // `SimStats::export_values`), so the per-window deltas carry the
         // per-mode cycle counters directly.
-        crate::runner::record_sampling(crate::runner::SamplingSample {
+        ctx.record_sampling(SamplingSample {
             ff_insts,
             ff_nanos,
             compile_nanos,
@@ -727,6 +737,7 @@ pub(crate) fn execute_sampled(
 /// window's final architectural state is verified against a functional
 /// replay of the same instruction span.
 fn run_window(
+    ctx: &RunCtx,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
@@ -811,7 +822,7 @@ fn run_window(
         ));
     }
     if let Some(profile) = &b.profile {
-        crate::runner::record_profile(profile, &b.stats);
+        ctx.record_profile(profile, &b.stats);
     }
     Ok(b.stats
         .export_values()
@@ -972,8 +983,9 @@ struct Partial {
 }
 
 /// Writes the partial-progress envelope (sealed, atomic tmp + rename)
-/// after each checkpoint capture, then notifies the fault-injection hook
-/// (so kill-after faults can land mid-cell in crash tests).
+/// after each checkpoint capture; returns whether it landed (the caller
+/// then notifies the fault-injection hook, so kill-after faults can land
+/// mid-cell in crash tests).
 fn persist_partial(
     path: &std::path::Path,
     key: u64,
@@ -981,7 +993,7 @@ fn persist_partial(
     population: u64,
     deltas: &[Vec<u64>],
     checkpoint: &Checkpoint,
-) {
+) -> bool {
     use std::fmt::Write as _;
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
@@ -999,9 +1011,7 @@ fn persist_partial(
         let _ = writeln!(body, "delta {}", join(delta));
     }
     body.push_str(&checkpoint.encode());
-    if write_sealed(path, &body, crate::cache::tmp_tag(key)) {
-        crate::faults::on_journal_entry_written(path);
-    }
+    write_sealed(path, &body, crate::cache::tmp_tag(key))
 }
 
 /// Loads and validates a partial-progress envelope; any mismatch (seal,
@@ -1190,11 +1200,13 @@ mod tests {
             &crate::experiments::PolicyKind::DmdcGlobal,
             SimOptions::default(),
         );
-        let mut opts = SimOptions::default();
-        opts.sampling = SampleSpec {
-            windows: 12,
-            window_insts: 1_000,
-            warmup_insts: 1_000,
+        let opts = SimOptions {
+            sampling: SampleSpec {
+                windows: 12,
+                window_insts: 1_000,
+                warmup_insts: 1_000,
+            },
+            ..SimOptions::default()
         };
         let sampled = crate::experiments::run_workload(
             &w,

@@ -10,8 +10,9 @@
 //!   sealed `jobs/<id>.job` envelope, and enqueue;
 //! * **dispatch** — a worker pops jobs in priority order (FIFO within a
 //!   priority) and executes them through the ordinary
-//!   [`Engine`](crate::runner::Engine), which consults the process-wide
-//!   cell cache and [`SingleFlight`](crate::flight::SingleFlight) table;
+//!   [`Engine`](crate::runner::Engine) under the manager's
+//!   [`RunCtx`], which carries the daemon's cell cache and
+//!   [`SingleFlight`](crate::flight::SingleFlight) table;
 //! * **complete** — the rendered report (the same JSON the CLI's
 //!   `--format json` emits) is persisted as a sealed
 //!   `results/<id>.result` envelope before the job is marked done, so a
@@ -44,7 +45,7 @@ use crate::cache::{self, Fnv64};
 use crate::experiments::{self, PolicyKind};
 use crate::queue::JobQueue;
 use crate::report::{fmt, Report, Table};
-use crate::runner::{Engine, RunSpec};
+use crate::runner::{Engine, RunCtx, RunSpec};
 use crate::service::json::{self, Json};
 
 /// What one job simulates.
@@ -254,11 +255,11 @@ fn build_config(config: u8) -> CoreConfig {
     }
 }
 
-/// Executes one job to its result payload — the exact JSON document the
-/// CLI's `--format json` emitters produce for the same work. `Err` is a
-/// human-readable failure (quarantined cells, unknown ids) that becomes
-/// a `failed` job, never a dead daemon.
-pub fn execute(spec: &JobSpec) -> Result<String, String> {
+/// Executes one job under `ctx` to its result payload — the exact JSON
+/// document the CLI's `--format json` emitters produce for the same
+/// work. `Err` is a human-readable failure (quarantined cells, unknown
+/// ids) that becomes a `failed` job, never a dead daemon.
+pub fn execute(spec: &JobSpec, ctx: &RunCtx) -> Result<String, String> {
     match spec {
         JobSpec::Cell {
             workload,
@@ -271,9 +272,8 @@ pub fn execute(spec: &JobSpec) -> Result<String, String> {
             let w = build_workload(workload, *scale)?;
             let core = build_config(*config);
             // The sampling mode is set on the spec itself, never through
-            // the process-wide default: the daemon is long-lived and
-            // concurrent, and `RunSpec::opts` is what cache and journal
-            // keys hash.
+            // the ctx default: the daemon is long-lived and concurrent,
+            // and `RunSpec::opts` is what cache and journal keys hash.
             let opts = SimOptions {
                 inval_per_kcycle: *inval_rate,
                 sampling: if *sampled {
@@ -284,7 +284,7 @@ pub fn execute(spec: &JobSpec) -> Result<String, String> {
                 ..SimOptions::default()
             };
             let workloads = [w];
-            let engine = Engine::new(&workloads);
+            let engine = Engine::with_ctx(&workloads, ctx.clone());
             let spec = RunSpec {
                 workload: 0,
                 config: core.clone(),
@@ -340,7 +340,7 @@ pub fn execute(spec: &JobSpec) -> Result<String, String> {
         JobSpec::Experiment { id, scale } => {
             let exp = experiments::find_experiment(id)
                 .ok_or_else(|| format!("unknown experiment `{id}`"))?;
-            let report = experiments::run_experiment(exp, *scale);
+            let report = experiments::run_experiment(exp, *scale, ctx);
             if report.has_failures() {
                 return Err(format!(
                     "{} cell(s) quarantined; report: {}",
@@ -443,6 +443,7 @@ struct Inner {
 pub struct JobManager {
     dir: PathBuf,
     quota: usize,
+    ctx: RunCtx,
     inner: Mutex<Inner>,
     work: Condvar,
     submitted: AtomicU64,
@@ -456,8 +457,9 @@ pub struct JobManager {
 impl JobManager {
     /// Opens (creating if needed) the job state under `dir`: sealed job
     /// envelopes in `dir/jobs/`, sealed result envelopes in
-    /// `dir/results/`. `quota` is the per-client in-flight job limit.
-    pub fn new(dir: impl Into<PathBuf>, quota: usize) -> Result<JobManager, String> {
+    /// `dir/results/`. `quota` is the per-client in-flight job limit;
+    /// every job executes under `ctx`.
+    pub fn new(dir: impl Into<PathBuf>, quota: usize, ctx: RunCtx) -> Result<JobManager, String> {
         let dir = dir.into();
         for sub in ["jobs", "results"] {
             std::fs::create_dir_all(dir.join(sub))
@@ -466,6 +468,7 @@ impl JobManager {
         Ok(JobManager {
             dir,
             quota: quota.max(1),
+            ctx,
             inner: Mutex::new(Inner {
                 next_id: 1,
                 ..Inner::default()
@@ -483,6 +486,11 @@ impl JobManager {
     /// The state directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The context every job executes under.
+    pub fn ctx(&self) -> &RunCtx {
+        &self.ctx
     }
 
     fn job_path(&self, id: &str) -> PathBuf {
@@ -828,7 +836,10 @@ mod tests {
             .join("../../target")
             .join(format!("dmdc-jobs-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
-        (JobManager::new(&dir, quota).unwrap(), dir)
+        (
+            JobManager::new(&dir, quota, RunCtx::default()).unwrap(),
+            dir,
+        )
     }
 
     #[test]
@@ -965,7 +976,7 @@ mod tests {
         drop(m);
         // A fresh manager over the same state dir: job-2 is done on disk,
         // job-1 and job-3 come back queued, in id order.
-        let m2 = JobManager::new(&dir, 16).unwrap();
+        let m2 = JobManager::new(&dir, 16, RunCtx::default()).unwrap();
         m2.set_paused(true);
         assert_eq!(m2.recover(), 2);
         assert_eq!(m2.counters().recovered, 2);
@@ -1002,7 +1013,7 @@ mod tests {
     #[test]
     fn cell_job_executes_to_report_json() {
         let s = spec("histo");
-        let payload = execute(&s).unwrap();
+        let payload = execute(&s, &RunCtx::default()).unwrap();
         let doc = json::parse(&payload).unwrap();
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("cell"));
         let tables = doc.get("tables").unwrap().as_array().unwrap();

@@ -21,7 +21,7 @@
 //! Duplicate suppression happens twice, deliberately at two layers:
 //! identical *submissions* merge onto one queued job here (see
 //! [`jobs::JobManager::submit`]), and identical *cells* racing inside
-//! the engine merge onto one simulation through the process-wide
+//! the engine merge onto one simulation through the daemon context's
 //! [`SingleFlight`](crate::flight::SingleFlight) table. The first keeps
 //! the queue and quota honest; the second protects even unrelated jobs
 //! that happen to share cells.
@@ -57,7 +57,7 @@ use std::time::Duration;
 
 use crate::cache::CellCache;
 use crate::flight::SingleFlight;
-use crate::runner;
+use crate::runner::RunCtx;
 use crate::service::jobs::{JobManager, JobSpec, JobState, SubmitOutcome};
 
 /// Process-wide stop flag: set by SIGTERM/SIGINT or `POST /shutdown`,
@@ -107,24 +107,22 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-/// Runs the daemon until a graceful shutdown completes. Installs the
-/// process-wide cell cache (under `state_dir/cache`, unless one is
-/// already installed — `--cache` wins) and the single-flight table,
-/// recovers any unfinished jobs from a previous life, prints the bound
-/// address, and serves until SIGTERM/SIGINT or `POST /shutdown` drains
-/// the queue.
-pub fn serve(opts: &ServeOptions) -> Result<(), String> {
+/// Runs the daemon until a graceful shutdown completes. Every job runs
+/// under `ctx`, completed with a cell cache (under `state_dir/cache`,
+/// unless `ctx` carries one) and a single-flight table shared by all
+/// jobs. Recovers any unfinished jobs from a previous life, prints the
+/// bound address, and serves until SIGTERM/SIGINT or `POST /shutdown`
+/// drains the queue.
+pub fn serve(opts: &ServeOptions, mut ctx: RunCtx) -> Result<(), String> {
     SHUTDOWN.store(false, Ordering::SeqCst);
     install_signal_handlers();
 
-    if runner::global_cell_cache().is_none() {
-        runner::set_global_cell_cache(Some(Arc::new(CellCache::new(opts.state_dir.join("cache")))));
-    }
-    if runner::global_flight().is_none() {
-        runner::set_global_flight(Some(Arc::new(SingleFlight::new())));
-    }
+    ctx.cache
+        .get_or_insert_with(|| Arc::new(CellCache::new(opts.state_dir.join("cache"))));
+    ctx.flight
+        .get_or_insert_with(|| Arc::new(SingleFlight::new()));
 
-    let manager = Arc::new(JobManager::new(&opts.state_dir, opts.quota)?);
+    let manager = Arc::new(JobManager::new(&opts.state_dir, opts.quota, ctx)?);
     manager.set_paused(opts.paused);
     let recovered = manager.recover();
 
@@ -146,16 +144,17 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
         let manager = Arc::clone(&manager);
         std::thread::spawn(move || {
             while let Some((id, spec)) = manager.next_job() {
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| jobs::execute(&spec)))
-                        .unwrap_or_else(|p| {
-                            let msg = p
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| p.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "job panicked".to_string());
-                            Err(format!("panic: {msg}"))
-                        });
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    jobs::execute(&spec, manager.ctx())
+                }))
+                .unwrap_or_else(|p| {
+                    let msg = p
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| p.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "job panicked".to_string());
+                    Err(format!("panic: {msg}"))
+                });
                 manager.complete(&id, outcome);
             }
         })
@@ -358,7 +357,8 @@ fn metrics_json(manager: &JobManager) -> String {
         manager.queue_depth(),
         manager.paused()
     );
-    if let Some(cache) = runner::global_cell_cache() {
+    let ctx = manager.ctx();
+    if let Some(cache) = &ctx.cache {
         let cc = cache.counters();
         out.push_str(&format!(
             ", \"cache\": {{\"hits\": {}, \"misses\": {}, \"stores\": {}, \
@@ -366,7 +366,7 @@ fn metrics_json(manager: &JobManager) -> String {
             cc.hits, cc.misses, cc.stores, cc.corrupt, cc.quarantined
         ));
     }
-    if let Some(flight) = runner::global_flight() {
+    if let Some(flight) = &ctx.flight {
         let fc = flight.counters();
         out.push_str(&format!(
             ", \"flight\": {{\"led\": {}, \"coalesced\": {}, \"waiting\": {}}}",
@@ -390,7 +390,7 @@ mod tests {
             .join("../../target")
             .join(format!("dmdc-serve-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
-        (JobManager::new(&dir, 4).unwrap(), dir)
+        (JobManager::new(&dir, 4, RunCtx::default()).unwrap(), dir)
     }
 
     fn post_jobs(manager: &JobManager, body: &str) -> (u16, String) {

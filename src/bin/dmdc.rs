@@ -26,12 +26,12 @@ use std::time::Duration;
 
 use dmdc::core::cache::{default_cache_dir, default_fingerprint, CellCache, CheckpointStore};
 use dmdc::core::experiments::{self, PolicyKind};
-use dmdc::core::faults::{self, FaultPlan};
+use dmdc::core::faults::FaultPlan;
 use dmdc::core::fuzz::{self, FuzzOptions};
 use dmdc::core::journal::{default_runs_dir, RunJournal};
 use dmdc::core::recovery;
 use dmdc::core::report::{fmt, OutputFormat, Report, Table};
-use dmdc::core::runner::{self, Engine, RunSpec};
+use dmdc::core::runner::{Engine, RunCtx, RunSpec};
 use dmdc::core::service::{self, http, jobs, json, ServeOptions};
 use dmdc::isa::{Assembler, Emulator};
 use dmdc::ooo::{run_multicore, CoreConfig, MultiCoreOptions, SampleSpec, SimOptions, Simulator};
@@ -59,9 +59,9 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             cmd_list();
             Ok(())
         }
-        Some("run") => cmd_run(&args[1..]),
-        Some("suite") => cmd_suite(&args[1..]),
-        Some("experiment") => cmd_experiment(&args[1..]),
+        Some("run") => cmd_run(&args[1..], None),
+        Some("suite") => cmd_suite(&args[1..], None),
+        Some("experiment") => cmd_experiment(&args[1..], None),
         Some("asm") => cmd_asm(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -180,7 +180,7 @@ kill-after=4') deterministically injects faults to exercise these paths.
     .to_string()
 }
 
-/// Flags the `apply_*`/`parse_*` helpers read on behalf of every
+/// Flags [`engine_ctx`] and the `parse_*` helpers read on behalf of every
 /// engine-backed command (`run`, `suite`, `experiment`).
 const ENGINE_FLAGS: &str =
     "scale sampled exact profile no-cache retries cell-timeout inject-faults run-id";
@@ -230,21 +230,14 @@ fn parse_config(flags: &std::collections::HashMap<String, String>) -> Result<Cor
     }
 }
 
-/// Applies `--profile` as the process-wide profiling switch for the runner.
-fn apply_profile(flags: &std::collections::HashMap<String, String>) {
-    if flags.contains_key("profile") {
-        runner::set_profile(true);
-    }
-}
-
-/// Prints the accumulated profile totals — plus the cell cache's
+/// Prints the ctx's accumulated profile totals — plus the cell cache's
 /// hit/miss/integrity counters, the journal's replay counters and the
-/// recovery ledger when installed — to stderr, keeping stdout
+/// recovery ledger when present — to stderr, keeping stdout
 /// byte-identical with and without `--profile`.
-fn report_profile() {
-    if runner::profile_enabled() {
-        eprint!("{}", runner::take_profile_totals().render());
-        if let Some(cache) = runner::global_cell_cache() {
+fn report_profile(ctx: &RunCtx) {
+    if ctx.profile {
+        eprint!("{}", ctx.take_profile_totals().render());
+        if let Some(cache) = &ctx.cache {
             let c = cache.counters();
             eprintln!(
                 "[profile] cell cache: {} hits, {} misses, {} stored, {} corrupt, {} quarantined ({})",
@@ -256,7 +249,7 @@ fn report_profile() {
                 cache.dir().display(),
             );
         }
-        if let Some(store) = runner::global_checkpoint_store() {
+        if let Some(store) = &ctx.checkpoints {
             let c = store.counters();
             eprintln!(
                 "[profile] checkpoint store: {} hits, {} misses, {} stored, {} corrupt, {} quarantined ({})",
@@ -268,7 +261,7 @@ fn report_profile() {
                 store.dir().display(),
             );
         }
-        if let Some(journal) = runner::global_journal() {
+        if let Some(journal) = &ctx.journal {
             let c = journal.counters();
             eprintln!(
                 "[profile] journal '{}': {} replayed, {} recorded, {} dropped ({})",
@@ -279,18 +272,66 @@ fn report_profile() {
                 journal.run_dir().display(),
             );
         }
-        eprintln!("{}", recovery::render(&recovery::counters()));
+        eprintln!("{}", recovery::render(&ctx.recovery()));
     }
 }
 
-/// Applies `--retries`, `--cell-timeout` (milliseconds) and
-/// `--inject-faults` as process-wide recovery settings for the runner.
-fn apply_recovery(flags: &std::collections::HashMap<String, String>) -> Result<(), String> {
+/// The context an engine-backed command (`run`, `suite`, `experiment`)
+/// runs under, built from its flags: `--jobs`, `--profile`, the cell
+/// cache and checkpoint store under `target/dmdc-cache/` (unless
+/// `--no-cache`), `--retries`, `--cell-timeout` (milliseconds),
+/// `--inject-faults`, the sampling mode, and a crash-safe journal under
+/// `target/dmdc-runs/<run-id>/` when `--run-id` was given — or the
+/// journal `dmdc run --resume` reopened, which stays in place.
+fn engine_ctx(
+    command: &str,
+    args: &[String],
+    flags: &std::collections::HashMap<String, String>,
+    scale: Scale,
+    resumed: Option<Arc<RunJournal>>,
+) -> Result<RunCtx, String> {
+    let mut ctx = RunCtx {
+        profile: flags.contains_key("profile"),
+        ..RunCtx::default()
+    };
+    apply_execution_flags(flags, &mut ctx)?;
+    if !flags.contains_key("no-cache") {
+        ctx.cache = Some(Arc::new(CellCache::new(default_cache_dir())));
+        ctx.checkpoints = Some(Arc::new(CheckpointStore::new(default_cache_dir())));
+    }
+    ctx.sampling = sampling_spec(flags, scale)?;
+    ctx.journal = match (resumed, flags.get("run-id")) {
+        (Some(journal), _) => Some(journal),
+        (None, Some(run_id)) => {
+            let mut argv = vec![command.to_string()];
+            argv.extend(args.iter().cloned());
+            let journal =
+                RunJournal::create(&default_runs_dir(), run_id, &default_fingerprint(), &argv)?;
+            Some(Arc::new(journal))
+        }
+        (None, None) => None,
+    };
+    Ok(ctx)
+}
+
+/// Applies `--jobs`, `--retries`, `--cell-timeout` (milliseconds) and
+/// `--inject-faults` to `ctx`.
+fn apply_execution_flags(
+    flags: &std::collections::HashMap<String, String>,
+    ctx: &mut RunCtx,
+) -> Result<(), String> {
+    if let Some(n) = flags.get("jobs") {
+        ctx.jobs = n
+            .parse()
+            .map_err(|_| "bad --jobs (want a positive integer)")?;
+        if ctx.jobs == 0 {
+            return Err("--jobs must be at least 1".to_string());
+        }
+    }
     if let Some(n) = flags.get("retries") {
-        let n: usize = n
+        ctx.retries = n
             .parse()
             .map_err(|_| "bad --retries (want a non-negative integer)")?;
-        runner::set_default_retries(n);
     }
     if let Some(ms) = flags.get("cell-timeout") {
         let ms: u64 = ms
@@ -299,48 +340,26 @@ fn apply_recovery(flags: &std::collections::HashMap<String, String>) -> Result<(
         if ms == 0 {
             return Err("--cell-timeout must be at least 1 millisecond".to_string());
         }
-        runner::set_default_cell_timeout(Some(Duration::from_millis(ms)));
+        ctx.cell_timeout = Some(Duration::from_millis(ms));
     }
     if let Some(spec) = flags.get("inject-faults") {
-        faults::set_fault_plan(Some(FaultPlan::parse(spec)?));
+        ctx.faults = Some(Arc::new(FaultPlan::parse(spec)?));
     }
-    Ok(())
-}
-
-/// Starts crash-safe journaling under `target/dmdc-runs/<run-id>/` when
-/// `--run-id` was given. No-op if a journal is already installed — a
-/// `--resume` dispatch re-enters here with the recorded argv, and the
-/// resumed journal must stay in place.
-fn apply_journal(
-    command: &str,
-    args: &[String],
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<(), String> {
-    let Some(run_id) = flags.get("run-id") else {
-        return Ok(());
-    };
-    if runner::global_journal().is_some() {
-        return Ok(());
-    }
-    let mut argv = vec![command.to_string()];
-    argv.extend(args.iter().cloned());
-    let journal = RunJournal::create(&default_runs_dir(), run_id, &default_fingerprint(), &argv)?;
-    runner::set_global_journal(Some(Arc::new(journal)));
     Ok(())
 }
 
 /// `dmdc run --resume <run-id>`: reopen the interrupted run's journal,
-/// verify the fingerprint, and re-dispatch its recorded command line.
-/// Completed cells replay from the journal; only missing cells simulate.
-/// Any recorded `--inject-faults` plan is dropped — the fault plan that
-/// killed the run must not kill the resume.
+/// verify the fingerprint, and re-run its recorded command line under
+/// that journal. Completed cells replay from the journal; only missing
+/// cells simulate. Any recorded `--inject-faults` plan is dropped — the
+/// fault plan that killed the run must not kill the resume.
 fn cmd_resume(run_id: &str) -> Result<(), String> {
     let (journal, argv) = RunJournal::resume(&default_runs_dir(), run_id, &default_fingerprint())?;
     eprintln!(
         "resuming run '{run_id}': {} completed cells on record",
         journal.preexisting_len()
     );
-    runner::set_global_journal(Some(Arc::new(journal)));
+    let journal = Some(Arc::new(journal));
     let mut replay = Vec::with_capacity(argv.len());
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
@@ -354,17 +373,11 @@ fn cmd_resume(run_id: &str) -> Result<(), String> {
         }
         replay.push(a);
     }
-    dispatch(&replay)
-}
-
-/// Installs the persistent cell cache and the checkpoint store (both
-/// under `target/dmdc-cache/`) unless `--no-cache` was given.
-fn apply_cache(flags: &std::collections::HashMap<String, String>) {
-    if !flags.contains_key("no-cache") {
-        runner::set_global_cell_cache(Some(Arc::new(CellCache::new(default_cache_dir()))));
-        runner::set_global_checkpoint_store(Some(Arc::new(CheckpointStore::new(
-            default_cache_dir(),
-        ))));
+    match replay.first().map(String::as_str) {
+        Some("run") => cmd_run(&replay[1..], journal),
+        Some("suite") => cmd_suite(&replay[1..], journal),
+        Some("experiment") => cmd_experiment(&replay[1..], journal),
+        _ => Err(format!("run '{run_id}' recorded no resumable command")),
     }
 }
 
@@ -375,20 +388,6 @@ fn parse_format(flags: &std::collections::HashMap<String, String>) -> Result<Out
         .map(String::as_str)
         .unwrap_or("text")
         .parse()
-}
-
-/// Applies `--jobs N` as the process-wide worker count for the runner.
-fn apply_jobs(flags: &std::collections::HashMap<String, String>) -> Result<(), String> {
-    if let Some(n) = flags.get("jobs") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| "bad --jobs (want a positive integer)")?;
-        if n == 0 {
-            return Err("--jobs must be at least 1".to_string());
-        }
-        runner::set_default_jobs(n);
-    }
-    Ok(())
 }
 
 fn parse_scale(flags: &std::collections::HashMap<String, String>) -> Result<Scale, String> {
@@ -404,9 +403,8 @@ fn parse_scale(flags: &std::collections::HashMap<String, String>) -> Result<Scal
 /// Resolves the sampling mode from `--sampled` / `--exact` and the scale:
 /// paper-scale (`--scale full`) runs sample by default because exact
 /// simulation at that size is intractable; every other scale stays exact
-/// unless `--sampled` asks otherwise. Returns the spec it installed as
-/// the process-wide default for the runner.
-fn apply_sampling(
+/// unless `--sampled` asks otherwise.
+fn sampling_spec(
     flags: &std::collections::HashMap<String, String>,
     scale: Scale,
 ) -> Result<SampleSpec, String> {
@@ -418,13 +416,11 @@ fn apply_sampling(
     } else {
         flags.contains_key("sampled") || scale == Scale::Full
     };
-    let spec = if on {
+    Ok(if on {
         SampleSpec::standard()
     } else {
         SampleSpec::EXACT
-    };
-    runner::set_default_sampling(spec);
-    Ok(spec)
+    })
 }
 
 fn find_workload(name: &str, scale: Scale) -> Result<Workload, String> {
@@ -465,7 +461,7 @@ fn cmd_list() {
     println!("  groups: ablations (the five ablation studies), all (every entry above)");
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String], resumed: Option<Arc<RunJournal>>) -> Result<(), String> {
     let flags = parse_flags(
         "run",
         &[
@@ -481,7 +477,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let policy = parse_policy(flags.get("policy").ok_or("--policy is required")?)?;
     let config = parse_config(&flags)?;
     let scale = parse_scale(&flags)?;
-    let spec = apply_sampling(&flags, scale)?;
+    let spec = sampling_spec(&flags, scale)?;
     let workload = find_workload(workload_name, scale)?;
 
     let mut opts = SimOptions::default();
@@ -540,18 +536,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             return Err("--max-commits needs an exact run (add --exact)".to_string());
         }
         opts.sampling = spec;
-        if opts.profile {
-            runner::set_profile(true);
-        }
         // Single sampled runs bypass the engine (no cell cache lookups),
-        // but the sampling driver itself consults the checkpoint store —
-        // installing it makes repeat runs skip the fast-forward.
-        apply_cache(&flags);
-        apply_recovery(&flags)?;
-        apply_journal("run", args, &flags)?;
-        let cell = experiments::run_workload(&workload, &config, &policy, opts);
+        // but the sampling driver itself consults the ctx's checkpoint
+        // store — so repeat runs skip the fast-forward.
+        let ctx = engine_ctx("run", args, &flags, scale, resumed)?;
+        let cell = experiments::run_workload_in(&ctx, &workload, &config, &policy, opts);
         print_run_stats(&workload, &policy, &config, &cell.stats);
-        report_profile();
+        report_profile(&ctx);
         return Ok(());
     }
 
@@ -706,7 +697,7 @@ fn print_run_stats(
     }
 }
 
-fn cmd_suite(args: &[String]) -> Result<(), String> {
+fn cmd_suite(args: &[String], resumed: Option<Arc<RunJournal>>) -> Result<(), String> {
     let flags = parse_flags("suite", &[ENGINE_FLAGS, "policy config format jobs"], args)?;
     let policy = parse_policy(
         flags
@@ -717,12 +708,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
     let config = parse_config(&flags)?;
     let scale = parse_scale(&flags)?;
     let format = parse_format(&flags)?;
-    apply_jobs(&flags)?;
-    apply_profile(&flags);
-    apply_cache(&flags);
-    apply_recovery(&flags)?;
-    apply_sampling(&flags, scale)?;
-    apply_journal("suite", args, &flags)?;
+    let ctx = engine_ctx("suite", args, &flags, scale, resumed)?;
     let mut t = Table::new(format!("suite under {policy:?} on {}", config.name));
     t.headers([
         "workload",
@@ -736,7 +722,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
     let specs: Vec<RunSpec> = (0..suite.len())
         .map(|i| RunSpec::new(i, &config, policy.clone()))
         .collect();
-    let (runs, failures) = Engine::new(&suite).run_all_recovered(&specs);
+    let (runs, failures) = Engine::with_ctx(&suite, ctx.clone()).run_all_recovered(&specs);
     for (w, r) in suite.iter().zip(&runs) {
         let Some(r) = r else { continue };
         let s = &r.stats;
@@ -777,7 +763,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
         report.push_failure(f);
     }
     print!("{}", report.emit(format));
-    report_profile();
+    report_profile(&ctx);
     if quarantined > 0 {
         return Err(format!(
             "{quarantined} cell(s) quarantined; the report is partial"
@@ -786,19 +772,14 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_experiment(args: &[String]) -> Result<(), String> {
+fn cmd_experiment(args: &[String], resumed: Option<Arc<RunJournal>>) -> Result<(), String> {
     let which = args
         .first()
         .ok_or("which experiment? (see `dmdc list`: fig2..fig5, table2..table6, ablations, all)")?;
     let flags = parse_flags("experiment", &[ENGINE_FLAGS, "format jobs"], &args[1..])?;
     let scale = parse_scale(&flags)?;
     let format = parse_format(&flags)?;
-    apply_jobs(&flags)?;
-    apply_profile(&flags);
-    apply_cache(&flags);
-    apply_recovery(&flags)?;
-    apply_sampling(&flags, scale)?;
-    apply_journal("experiment", args, &flags)?;
+    let ctx = engine_ctx("experiment", args, &flags, scale, resumed)?;
     let ids: Vec<&str> = match which.as_str() {
         "all" => experiments::registry().iter().map(|e| e.id()).collect(),
         "ablations" => experiments::ABLATION_IDS.to_vec(),
@@ -808,11 +789,11 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     for id in ids {
         let exp = experiments::find_experiment(id)
             .ok_or_else(|| format!("unknown experiment `{id}` (see `dmdc list`)"))?;
-        let report = experiments::run_experiment(exp, scale);
+        let report = experiments::run_experiment(exp, scale, &ctx);
         quarantined += report.failures().len();
         print!("{}", report.emit(format));
     }
-    report_profile();
+    report_profile(&ctx);
     if quarantined > 0 {
         return Err(format!(
             "{quarantined} cell(s) quarantined; the report is partial"
@@ -938,8 +919,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         &["jobs retries cell-timeout inject-faults addr state-dir quota paused"],
         args,
     )?;
-    apply_jobs(&flags)?;
-    apply_recovery(&flags)?;
+    let mut ctx = RunCtx::default();
+    apply_execution_flags(&flags, &mut ctx)?;
     let mut opts = ServeOptions::default();
     if let Some(addr) = flags.get("addr") {
         opts.addr = addr.clone();
@@ -956,7 +937,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
     opts.paused = flags.contains_key("paused");
-    service::serve(&opts)
+    service::serve(&opts, ctx)
 }
 
 /// The daemon address for the client subcommands: `--addr`, else the
@@ -1164,18 +1145,15 @@ mod tests {
             parse_flags("suite", &[ENGINE_FLAGS, "jobs"], &typo).unwrap_err(),
             "unknown suite flag `--jbos`"
         );
-        for cmd in [
-            cmd_run,
-            cmd_suite,
-            cmd_serve,
-            cmd_submit,
-            cmd_status,
-            cmd_metrics,
-        ] {
+        for cmd in [cmd_run, cmd_suite] {
+            let err = cmd(&typo, None).unwrap_err();
+            assert!(err.contains("flag `--jbos`"), "{err}");
+        }
+        for cmd in [cmd_serve, cmd_submit, cmd_status, cmd_metrics] {
             let err = cmd(&typo).unwrap_err();
             assert!(err.contains("flag `--jbos`"), "{err}");
         }
-        let err = cmd_experiment(&["fig2".to_string(), "--distrib".to_string()]).unwrap_err();
+        let err = cmd_experiment(&["fig2".to_string(), "--distrib".to_string()], None).unwrap_err();
         assert_eq!(err, "unknown experiment flag `--distrib`");
     }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use dmdc::core::cache::CellCache;
 use dmdc::core::experiments::{registry, run_experiment};
-use dmdc::core::runner::set_global_cell_cache;
+use dmdc::core::runner::RunCtx;
 use dmdc::isa::{BlockCode, EmuError, Emulator};
 use dmdc::workloads::{full_suite, FuzzKernel, Scale, Workload};
 use proptest::prelude::*;
@@ -189,12 +189,15 @@ fn experiment_json_and_csv_match_goldens() {
     let cache_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("dmdc-cache-format-golden-test");
-    set_global_cell_cache(Some(Arc::new(CellCache::new(cache_dir))));
+    let ctx = RunCtx {
+        cache: Some(Arc::new(CellCache::new(cache_dir))),
+        ..RunCtx::default()
+    };
     let exp = registry()
         .iter()
         .find(|e| e.id() == "fig2")
         .expect("fig2 is in the registry");
-    let report = run_experiment(*exp, Scale::Smoke);
+    let report = run_experiment(*exp, Scale::Smoke, &ctx);
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/formats");
     for (ext, actual) in [("json", report.json()), ("csv", report.csv())] {
         let path = golden_dir.join(format!("fig2.{ext}"));

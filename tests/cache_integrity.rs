@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dmdc::core::cache::{seal, CellCache};
 use dmdc::core::experiments::PolicyKind;
-use dmdc::core::runner::{Engine, RunSpec};
+use dmdc::core::runner::{Engine, RunCtx, RunSpec};
 use dmdc::ooo::CoreConfig;
 use dmdc::workloads::{SyntheticKernel, Workload};
 
@@ -33,9 +33,12 @@ fn spec() -> RunSpec {
 }
 
 fn run(workloads: &[Workload], cache: &Arc<CellCache>) -> dmdc::core::CellResult {
-    Engine::with_jobs(workloads, 1)
-        .with_cache(Some(Arc::clone(cache)))
-        .run_cell(&spec())
+    let ctx = RunCtx {
+        jobs: 1,
+        cache: Some(Arc::clone(cache)),
+        ..RunCtx::default()
+    };
+    Engine::with_ctx(workloads, ctx).run_cell(&spec())
 }
 
 /// The single `.cell` file a one-cell run leaves behind.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dmdc::core::cache::CellCache;
 use dmdc::core::experiments::PolicyKind;
-use dmdc::core::runner::{Engine, RunSpec};
+use dmdc::core::runner::{Engine, RunCtx, RunSpec};
 use dmdc::ooo::CoreConfig;
 use dmdc::workloads::{int_suite, Scale, SyntheticKernel, Workload};
 
@@ -40,7 +40,11 @@ fn specs() -> Vec<RunSpec> {
 }
 
 fn run(workloads: &[Workload], cache: &Arc<CellCache>) -> Vec<dmdc::core::CellResult> {
-    let engine = Engine::new(workloads).with_cache(Some(Arc::clone(cache)));
+    let ctx = RunCtx {
+        cache: Some(Arc::clone(cache)),
+        ..RunCtx::default()
+    };
+    let engine = Engine::with_ctx(workloads, ctx);
     specs().iter().map(|s| engine.run_cell(s)).collect()
 }
 

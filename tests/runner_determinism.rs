@@ -3,12 +3,11 @@
 //! (`--jobs 1`) rendering, and the emulator oracle must be consulted
 //! once per distinct workload regardless of how many cells share it.
 //!
-//! This file holds a single test because the worker-count override is
-//! process-global; keeping it alone in its own integration-test binary
-//! avoids cross-test races.
+//! The worker count is a per-run-context setting, so each rendering
+//! below states its own and nothing here touches process-wide state.
 
 use dmdc::core::experiments::{self, PolicyKind};
-use dmdc::core::runner::{set_default_jobs, Engine, RunSpec};
+use dmdc::core::runner::{Engine, RunCtx, RunSpec};
 use dmdc::ooo::CoreConfig;
 use dmdc::workloads::{fp_suite, int_suite, Scale, Workload};
 
@@ -20,20 +19,30 @@ fn mini() -> Vec<Workload> {
     ]
 }
 
+/// Renders registry experiment `id` over `workloads` on `jobs` workers:
+/// the registry's own plan and reducer, with the workload set swapped.
+fn render(id: &str, workloads: &[Workload], jobs: usize) -> String {
+    let exp = experiments::find_experiment(id).expect("registry id");
+    let mut plan = exp.plan(Scale::Smoke);
+    plan.workloads = workloads.to_vec();
+    let ctx = RunCtx {
+        jobs,
+        ..RunCtx::default()
+    };
+    let cells = Engine::with_ctx(&plan.workloads, ctx).run_all(&plan.specs());
+    exp.reduce(&cells).text()
+}
+
 #[test]
 fn rendered_tables_are_byte_identical_at_any_job_count() {
     let workloads = mini();
     let config = CoreConfig::config2();
 
-    set_default_jobs(1);
-    let serial_fig2 = experiments::fig2_on(&workloads, &config).render();
-    let serial_table2 = experiments::window_stats_on(&workloads, &config, false).render();
+    let serial_fig2 = render("fig2", &workloads, 1);
+    let serial_table2 = render("table2", &workloads, 1);
 
-    set_default_jobs(4);
-    let parallel_fig2 = experiments::fig2_on(&workloads, &config).render();
-    let parallel_table2 = experiments::window_stats_on(&workloads, &config, false).render();
-
-    set_default_jobs(0);
+    let parallel_fig2 = render("fig2", &workloads, 4);
+    let parallel_table2 = render("table2", &workloads, 4);
 
     assert_eq!(
         serial_fig2, parallel_fig2,
@@ -55,7 +64,13 @@ fn rendered_tables_are_byte_identical_at_any_job_count() {
             ]
         })
         .collect();
-    let engine = Engine::with_jobs(&workloads, 4);
+    let engine = Engine::with_ctx(
+        &workloads,
+        RunCtx {
+            jobs: 4,
+            ..RunCtx::default()
+        },
+    );
     let runs = engine.run_all(&specs);
     assert_eq!(runs.len(), specs.len());
     let (hits, misses) = engine.oracle_stats();

@@ -8,9 +8,10 @@
 //! change to the sampling engine (or the workloads) moved an estimate
 //! outside its own error bar.
 //!
-//! The whole comparison lives in ONE test function: sampled mode is the
-//! process-wide default the CLI installs (`runner::set_default_sampling`),
-//! and parallel test threads must not race on it.
+//! The whole comparison lives in ONE test function: the typed `*_on`
+//! regenerators take their sampling mode from the process-default run
+//! context (`runner::set_default_sampling`), and parallel test threads
+//! must not race on it.
 
 use dmdc::core::experiments::{fig2_on, table6_on, Fig2, Table6};
 use dmdc::core::runner::set_default_sampling;

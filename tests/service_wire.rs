@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use dmdc::core::runner::{set_global_cell_cache, set_global_flight};
+use dmdc::core::runner::RunCtx;
 use dmdc::core::service::http::Request;
 use dmdc::core::service::jobs::{self, JobManager};
 use dmdc::core::service::route;
@@ -71,20 +71,16 @@ const CELL: &str = r#"{"kind": "cell", "workload": "histo", "policy": "baseline"
 
 /// One test drives the whole staged lifecycle: the wire documents build
 /// on each other (coalescing needs the created job, the result needs the
-/// completion), and a single `#[test]` keeps the process-global cache
-/// and flight slots deterministic.
+/// completion).
 #[test]
 fn wire_documents_match_golden_snapshots() {
     // The metrics document includes cache/flight sections only when the
-    // process-globals are installed; pin both to absent.
-    set_global_cell_cache(None);
-    set_global_flight(None);
-
+    // manager's ctx carries them; a bare ctx pins both to absent.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("dmdc-service-wire-test");
     let _ = std::fs::remove_dir_all(&dir);
-    let manager = JobManager::new(&dir, 2).unwrap();
+    let manager = JobManager::new(&dir, 2, RunCtx::default()).unwrap();
     manager.set_paused(true);
 
     // Submit replies: created, coalesced, and the structured 429.
@@ -118,7 +114,7 @@ fn wire_documents_match_golden_snapshots() {
     // The stored result for the real simulation: the same report JSON
     // the CLI's `--format json` emits, fetched through the result route.
     let spec = manager_spec();
-    let payload = jobs::execute(&spec).expect("cell simulates clean");
+    let payload = jobs::execute(&spec, manager.ctx()).expect("cell simulates clean");
     manager.complete("job-1", Ok(payload));
     let (status, result) = get(&manager, "/jobs/job-1/result");
     assert_eq!(status, 200);
@@ -151,7 +147,7 @@ fn hostile_bodies_return_structured_errors() {
         .join("target")
         .join("dmdc-service-wire-negative");
     let _ = std::fs::remove_dir_all(&dir);
-    let manager = JobManager::new(&dir, 2).unwrap();
+    let manager = JobManager::new(&dir, 2, RunCtx::default()).unwrap();
     manager.set_paused(true);
 
     let hostile_posts = [

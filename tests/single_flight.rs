@@ -10,7 +10,7 @@ use std::time::Duration;
 use dmdc::core::cache::CellCache;
 use dmdc::core::experiments::PolicyKind;
 use dmdc::core::flight::SingleFlight;
-use dmdc::core::runner::{Engine, RunSpec};
+use dmdc::core::runner::{Engine, RunCtx, RunSpec};
 use dmdc::ooo::CoreConfig;
 use dmdc::workloads::{Scale, SyntheticKernel, Workload};
 
@@ -41,10 +41,13 @@ fn racing_threads_coalesce_to_one_simulation() {
         let flight = Arc::clone(&flight);
         move || {
             let workloads = [workload()];
-            let engine = Engine::with_jobs(&workloads, 1)
-                .with_cache(Some(cache))
-                .with_journal(None)
-                .with_flight(Some(flight));
+            let ctx = RunCtx {
+                jobs: 1,
+                cache: Some(cache),
+                flight: Some(flight),
+                ..RunCtx::default()
+            };
+            let engine = Engine::with_ctx(&workloads, ctx);
             let spec = RunSpec::new(0, &CoreConfig::config2(), PolicyKind::DmdcGlobal);
             engine.try_run_cell(&spec).expect("cell runs clean")
         }
