@@ -188,14 +188,14 @@ pub fn unseal(text: &str) -> Result<&str, IntegrityError> {
 /// sibling temporary file first and is renamed into place, so no reader
 /// (or crash) ever observes a torn record. Returns `false` on I/O errors
 /// (the temp file is cleaned up best-effort).
-pub fn write_sealed(path: &Path, body: &str, tmp_tag: u64) -> bool {
+pub fn write_sealed(path: &Path, body: &str) -> bool {
     let Some(dir) = path.parent() else {
         return false;
     };
     let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
         return false;
     };
-    let tmp = dir.join(format!("{name}.tmp.{tmp_tag:x}"));
+    let tmp = dir.join(format!("{name}.tmp.{:x}", tmp_tag()));
     if std::fs::write(&tmp, seal(body)).is_ok() && std::fs::rename(&tmp, path).is_ok() {
         true
     } else {
@@ -204,10 +204,15 @@ pub fn write_sealed(path: &Path, body: &str, tmp_tag: u64) -> bool {
     }
 }
 
-/// A per-process tag making temporary file names unique across
-/// concurrent writers of the same key.
-pub(crate) fn tmp_tag(key: u64) -> u64 {
-    std::process::id() as u64 ^ key.rotate_left(32)
+/// A tag making a temporary file name unique among concurrent writers of
+/// the same path: the process id in the high half, a process-wide write
+/// sequence in the low half, so neither two processes nor two threads of
+/// one process (say, two policies' cells fast-forwarding the same
+/// checkpoint at once) ever share a temporary file.
+fn tmp_tag() -> u64 {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff;
+    (std::process::id() as u64) << 32 | seq
 }
 
 /// Content digest of a workload: name, group, entry point, encoded text
@@ -350,7 +355,7 @@ impl CellCache {
     pub fn store(&self, key: u64, cell: &CellResult) -> Option<PathBuf> {
         std::fs::create_dir_all(&self.dir).ok()?;
         let path = self.path_of(key);
-        write_sealed(&path, &cell.to_record(), tmp_tag(key)).then(|| {
+        write_sealed(&path, &cell.to_record()).then(|| {
             self.stores.fetch_add(1, Ordering::Relaxed);
             path
         })
@@ -383,8 +388,9 @@ fn quarantine_into(qdir: &Path, path: &Path) -> bool {
 }
 
 /// Format-version line of a persisted sampling checkpoint body. Bumping
-/// it quarantines every previously stored checkpoint at once.
-const CKPT_MAGIC: &str = "dmdc-ckpt v1";
+/// it quarantines every previously stored checkpoint at once. Version 2
+/// writes runs of equal words as `v*n` tokens (see `sampling::join`).
+const CKPT_MAGIC: &str = "dmdc-ckpt v2";
 
 /// A content-addressed, persistent store of sampling [`Checkpoint`]s —
 /// the warm-run counterpart of [`CellCache`].
@@ -514,7 +520,7 @@ impl CheckpointStore {
         std::fs::create_dir_all(&self.dir).ok()?;
         let body = format!("{CKPT_MAGIC}\nworkload {workload}\n{}", checkpoint.encode());
         let path = self.path_of(key);
-        write_sealed(&path, &body, tmp_tag(key)).then(|| {
+        write_sealed(&path, &body).then(|| {
             self.stores.fetch_add(1, Ordering::Relaxed);
             path
         })
@@ -595,6 +601,18 @@ mod tests {
             Err(IntegrityError::Version)
         );
         assert_eq!(unseal(""), Err(IntegrityError::Header));
+    }
+
+    #[test]
+    fn tmp_tags_differ_between_threads_of_one_process() {
+        let tags = || (0..100).map(|_| tmp_tag()).collect::<Vec<_>>();
+        let other = std::thread::spawn(tags);
+        let mut all = tags();
+        all.extend(other.join().unwrap());
+        assert!(all.iter().all(|t| t >> 32 == std::process::id() as u64));
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 200, "two writers of one path shared a temp name");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::{tmp_tag, unseal, write_sealed, Fnv64};
+use crate::cache::{unseal, write_sealed, Fnv64};
 use crate::cell::CellResult;
 
 /// First line of the sealed manifest body.
@@ -89,7 +89,7 @@ impl RunJournal {
             .map_err(|e| format!("cannot create journal {}: {e}", journal_dir.display()))?;
         let manifest = manifest_body(fingerprint, argv);
         let path = run_dir.join("manifest");
-        if !write_sealed(&path, &manifest, tmp_tag(0)) {
+        if !write_sealed(&path, &manifest) {
             return Err(format!("cannot write manifest {}", path.display()));
         }
         Ok(RunJournal::open(run_id, run_dir, journal_dir, fingerprint))
@@ -227,7 +227,7 @@ impl RunJournal {
             return None;
         }
         let path = self.path_of(key);
-        write_sealed(&path, &cell.to_record(), tmp_tag(key)).then(|| {
+        write_sealed(&path, &cell.to_record()).then(|| {
             self.recorded.fetch_add(1, Ordering::Relaxed);
             path
         })

@@ -64,7 +64,9 @@ use crate::experiments::PolicyKind;
 use crate::runner::{lock, RunCtx, SamplingSample};
 
 /// Magic + version line of the persisted partial-progress envelope.
-const SAMPLE_MAGIC: &str = "dmdc-sample v1";
+/// Version 2 writes runs of equal words as `v*n` tokens (see [`join`]);
+/// an envelope of another version is ignored and the cell starts over.
+const SAMPLE_MAGIC: &str = "dmdc-sample v2";
 
 /// Bytes per memory page (must match `SparseMemory`'s page geometry:
 /// 4 KiB pages).
@@ -299,26 +301,54 @@ impl Checkpoint {
     }
 }
 
+/// Upper bound on the words one encoded line may expand to. The largest
+/// vector any [`CoreConfig`] preset exports is the L2 image, 3 + 2 × 8 192
+/// = 16 387 words (every preset shares the cache, predictor and BTB
+/// geometry); the cap leaves 4× margin, so a corrupt `v*n` count is
+/// rejected before it can request a huge allocation.
+const MAX_LINE_WORDS: usize = 1 << 16;
+
+/// Encodes a word vector as space-separated decimal tokens, writing every
+/// maximal run of two or more equal words as one `v*n` token (cold cache
+/// tags, zeroed LRU stamps and empty BTB entries are long runs).
 fn join(words: &[u64]) -> String {
     use std::fmt::Write as _;
-    let mut s = String::with_capacity(words.len() * 4);
-    for (i, w) in words.iter().enumerate() {
-        if i > 0 {
+    let mut s = String::new();
+    let mut rest = words;
+    while let Some(&w) = rest.first() {
+        let run = rest.iter().take_while(|&&x| x == w).count();
+        if !s.is_empty() {
             s.push(' ');
         }
-        let _ = write!(s, "{w}");
+        let _ = if run >= 2 {
+            write!(s, "{w}*{run}")
+        } else {
+            write!(s, "{w}")
+        };
+        rest = &rest[run..];
     }
     s
 }
 
+/// Inverse of [`join`]. `None` on a malformed token, a run count below 2,
+/// or a line expanding past [`MAX_LINE_WORDS`].
 fn parse_words(body: &str) -> Option<Vec<u64>> {
+    let mut words = Vec::new();
     if body.is_empty() {
-        return Some(Vec::new());
+        return Some(words);
     }
-    body.split(' ')
-        .map(str::parse)
-        .collect::<Result<_, _>>()
-        .ok()
+    for token in body.split(' ') {
+        let (value, run) = match token.split_once('*') {
+            Some((value, run)) => (value, run.parse().ok().filter(|&n: &usize| n >= 2)?),
+            None => (token, 1),
+        };
+        let value: u64 = value.parse().ok()?;
+        if run > MAX_LINE_WORDS - words.len() {
+            return None;
+        }
+        words.resize(words.len() + run, value);
+    }
+    Some(words)
 }
 
 fn parse_array(body: &str) -> Option<[u64; 32]> {
@@ -533,11 +563,10 @@ pub(crate) fn execute_sampled(
     let envelope = ctx.journal.as_ref().map(|journal| {
         let desc = format!("{config:?}|{policy_kind:?}|{opts:?}");
         let key = journal.key(digest, &desc);
-        let path = journal
+        journal
             .run_dir()
             .join("samples")
-            .join(format!("{key:016x}.ckpt"));
-        (path, key)
+            .join(format!("{key:016x}.ckpt"))
     });
 
     // Shared checkpoint key: checkpoints are a pure function of the
@@ -563,7 +592,7 @@ pub(crate) fn execute_sampled(
     let mut pending: Option<Checkpoint> = None;
     let mut emu = Emulator::new(&workload.program);
     let mut warm = Warmer::new(config);
-    if let Some((path, _)) = &envelope {
+    if let Some(path) = &envelope {
         if let Some(partial) = load_partial(path, &opts.sampling, population) {
             if let Some(w) = Warmer::restore(&partial.checkpoint, config) {
                 emu = partial.checkpoint.restore_emulator(&workload.program);
@@ -578,6 +607,24 @@ pub(crate) fn execute_sampled(
         }
     }
 
+    // A memo or store hit does not move the master emulator and warm
+    // structures: only a window that misses needs them, so a hit just
+    // remembers its checkpoint here and the next miss restores from it —
+    // the same state a restore at the hit would have produced, paid for
+    // once per miss instead of once per hit.
+    let mut behind: Option<Arc<Checkpoint>> = None;
+    let fitted = |ck: &Checkpoint| {
+        ck.warm_state(config).ok_or_else(|| {
+            CellError::new(
+                FailureKind::SimError,
+                format!(
+                    "{}: checkpoint warm state does not fit {}",
+                    workload.name, config.name
+                ),
+            )
+        })
+    };
+
     let mut ff_insts = 0u64;
     let mut ff_nanos = 0u64;
     let mut ff_blocks = 0u64;
@@ -586,108 +633,96 @@ pub(crate) fn execute_sampled(
     let mut window_nanos = 0u64;
     let first = deltas.len() as u64;
     for i in first..layout.windows {
-        let checkpoint = match pending.take() {
-            Some(ck) => Arc::new(ck),
+        let (checkpoint, state) = match pending.take() {
+            Some(ck) => {
+                let state = fitted(&ck)?;
+                (Arc::new(ck), state)
+            }
             None => {
                 // In-process memo first (see `CkptMemo`): a hit means an
                 // earlier cell in this process — typically the same
                 // workload under a different policy — already produced
-                // this window's checkpoint.
+                // this window's checkpoint. The shared store next. A hit
+                // whose warm state does not fit the config counts as a
+                // miss.
                 let mkey = CkptMemo::key(digest, &sample_desc, i as u32);
-                let memoed = lock(&ctx.sink.memo).load(mkey);
-                let memoed = memoed.and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)));
-                let ck = match memoed {
-                    Some((ck, w)) => {
-                        emu = ck.restore_emulator(&workload.program);
-                        warm = w;
+                let with_state =
+                    |ck: Arc<Checkpoint>| ck.warm_state(config).map(|state| (ck, state));
+                let memoed = lock(&ctx.sink.memo).load(mkey).and_then(with_state);
+                let hit = match memoed {
+                    Some(hit) => {
                         ckpt_shared += 1;
-                        ck
+                        Some(hit)
                     }
-                    None => {
-                        // Shared store next: a hit replaces the
-                        // fast-forward entirely. The master emulator and
-                        // warm structures are restored from the stored
-                        // checkpoint (exactly as crash resume does), so a
-                        // later miss window fast-forwards from consistent
-                        // state.
-                        let stored = store.and_then(|s| {
+                    None => store
+                        .and_then(|s| {
                             let key = s.key(digest, &sample_desc, i as u32);
                             s.load(key, workload.name, i as u32)
-                                .and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)))
-                        });
-                        let ck = match stored {
-                            Some((ck, w)) => {
-                                emu = ck.restore_emulator(&workload.program);
-                                warm = w;
-                                Arc::new(ck)
-                            }
-                            None => {
-                                let target = layout.checkpoint_at(i);
-                                let t0 = Instant::now();
-                                // Warming horizon: only the last
-                                // `WARM_HORIZON` retired instructions
-                                // before a checkpoint warm the shadow
-                                // structures; the stretch before that
-                                // emulates silently through the compiled
-                                // blocks. The rule is a pure function of
-                                // position, so a resumed run (which
-                                // restarts the master emulator at the
-                                // previous checkpoint) reproduces the
-                                // same warm state exactly.
-                                let silent_until = target.saturating_sub(WARM_HORIZON);
-                                if emu.retired() < silent_until {
-                                    ff_insts += silent_until - emu.retired();
-                                    match emu.run_silent(&code, silent_until) {
-                                        Ok(stats) => {
-                                            ff_blocks += stats.blocks;
-                                            ff_fallback_steps += stats.fallback_steps;
-                                        }
-                                        Err(e) => {
-                                            return Err(CellError::new(
-                                                FailureKind::SimError,
-                                                format!(
-                                                    "{} fast-forward failed: {e}",
-                                                    workload.name
-                                                ),
-                                            ))
-                                        }
-                                    }
-                                }
-                                // The warmed stretch runs through the
-                                // observed block executor — same events
-                                // as a step()+observe loop, none of the
-                                // per-step `Retired` overhead.
-                                ff_insts += target - emu.retired();
-                                emu.run_observed(&code, target, &mut warm).map_err(|e| {
-                                    CellError::new(
-                                        FailureKind::SimError,
-                                        format!("{} fast-forward failed: {e}", workload.name),
-                                    )
-                                })?;
-                                ff_nanos += t0.elapsed().as_nanos() as u64;
-                                let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
-                                if let Some(s) = store {
-                                    let key = s.key(digest, &sample_desc, i as u32);
-                                    let written = s.store(key, workload.name, &ck);
-                                    if let (Some(plan), Some(path)) = (&ctx.faults, written) {
-                                        plan.on_cache_entry_written(&path);
-                                    }
-                                }
-                                ck
-                            }
+                        })
+                        .and_then(|ck| with_state(Arc::new(ck)))
+                        .inspect(|(ck, _)| lock(&ctx.sink.memo).publish(mkey, Arc::clone(ck))),
+                };
+                let (ck, state) = match hit {
+                    Some((ck, state)) => {
+                        behind = Some(Arc::clone(&ck));
+                        (ck, state)
+                    }
+                    None => {
+                        if let Some(ck) = behind.take() {
+                            emu = ck.restore_emulator(&workload.program);
+                            warm = Warmer::restore(&ck, config)
+                                .expect("a hit's warm state was checked against the config");
+                        }
+                        let target = layout.checkpoint_at(i);
+                        let t0 = Instant::now();
+                        // Warming horizon: only the last `WARM_HORIZON`
+                        // retired instructions before a checkpoint warm the
+                        // shadow structures; the stretch before that
+                        // emulates silently through the compiled blocks.
+                        // The rule is a pure function of position, so a
+                        // resumed run (which restarts the master emulator
+                        // at the previous checkpoint) reproduces the same
+                        // warm state exactly.
+                        let silent_until = target.saturating_sub(WARM_HORIZON);
+                        let ff_err = |e| {
+                            CellError::new(
+                                FailureKind::SimError,
+                                format!("{} fast-forward failed: {e}", workload.name),
+                            )
                         };
+                        if emu.retired() < silent_until {
+                            ff_insts += silent_until - emu.retired();
+                            let stats = emu.run_silent(&code, silent_until).map_err(ff_err)?;
+                            ff_blocks += stats.blocks;
+                            ff_fallback_steps += stats.fallback_steps;
+                        }
+                        // The warmed stretch runs through the observed
+                        // block executor — same events as a step()+observe
+                        // loop, none of the per-step `Retired` overhead.
+                        ff_insts += target - emu.retired();
+                        emu.run_observed(&code, target, &mut warm).map_err(ff_err)?;
+                        ff_nanos += t0.elapsed().as_nanos() as u64;
+                        let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
+                        if let Some(s) = store {
+                            let key = s.key(digest, &sample_desc, i as u32);
+                            let written = s.store(key, workload.name, &ck);
+                            if let (Some(plan), Some(path)) = (&ctx.faults, written) {
+                                plan.on_cache_entry_written(&path);
+                            }
+                        }
                         lock(&ctx.sink.memo).publish(mkey, Arc::clone(&ck));
-                        ck
+                        let state = fitted(&ck)?;
+                        (ck, state)
                     }
                 };
-                if let Some((path, key)) = &envelope {
-                    if persist_partial(path, *key, &opts.sampling, population, &deltas, &ck) {
+                if let Some(path) = &envelope {
+                    if persist_partial(path, &opts.sampling, population, &deltas, &ck) {
                         if let Some(plan) = &ctx.faults {
                             plan.on_journal_entry_written(path);
                         }
                     }
                 }
-                ck
+                (ck, state)
             }
         };
         let t0 = Instant::now();
@@ -699,11 +734,12 @@ pub(crate) fn execute_sampled(
             opts,
             &layout,
             &checkpoint,
+            state,
         )?;
         window_nanos += t0.elapsed().as_nanos() as u64;
         deltas.push(delta);
     }
-    if let Some((path, _)) = &envelope {
+    if let Some(path) = &envelope {
         let _ = std::fs::remove_file(path);
     }
     if ctx.profile {
@@ -731,11 +767,13 @@ pub(crate) fn execute_sampled(
 }
 
 /// Runs one detailed window from `checkpoint`: a fresh simulator seeded
-/// with the checkpoint state runs the discarded warmup, then resumes for
+/// with the checkpoint state (its warm structures already rebuilt by
+/// [`Checkpoint::warm_state`]) runs the discarded warmup, then resumes for
 /// the measured span; the returned delta is the element-wise difference
 /// of the two phases' exported stats (absolute warm offsets cancel). The
 /// window's final architectural state is verified against a functional
 /// replay of the same instruction span.
+#[allow(clippy::too_many_arguments)]
 fn run_window(
     ctx: &RunCtx,
     workload: &Workload,
@@ -744,16 +782,8 @@ fn run_window(
     opts: SimOptions,
     layout: &Layout,
     checkpoint: &Checkpoint,
+    (hier, bpred, btb): (MemoryHierarchy, BranchPredictor, Btb),
 ) -> Result<Vec<u64>, CellError> {
-    let (hier, bpred, btb) = checkpoint.warm_state(config).ok_or_else(|| {
-        CellError::new(
-            FailureKind::SimError,
-            format!(
-                "{}: checkpoint warm state does not fit {}",
-                workload.name, config.name
-            ),
-        )
-    })?;
     let mut fp_regs = [0.0f64; 32];
     for (slot, &bits) in fp_regs.iter_mut().zip(&checkpoint.fp_bits) {
         *slot = f64::from_bits(bits);
@@ -988,7 +1018,6 @@ struct Partial {
 /// mid-cell in crash tests).
 fn persist_partial(
     path: &std::path::Path,
-    key: u64,
     spec: &SampleSpec,
     population: u64,
     deltas: &[Vec<u64>],
@@ -1011,7 +1040,7 @@ fn persist_partial(
         let _ = writeln!(body, "delta {}", join(delta));
     }
     body.push_str(&checkpoint.encode());
-    write_sealed(path, &body, crate::cache::tmp_tag(key))
+    write_sealed(path, &body)
 }
 
 /// Loads and validates a partial-progress envelope; any mismatch (seal,
@@ -1089,6 +1118,81 @@ mod tests {
         let text = ck.encode();
         let back = Checkpoint::decode(&mut text.lines()).expect("decodes");
         assert_eq!(back, ck);
+    }
+
+    #[test]
+    fn run_length_codec_roundtrips_run_boundaries() {
+        for (words, text) in [
+            (vec![], ""),
+            (vec![9; 100], "9*100"),
+            (vec![0, 0, 0, 1, 2], "0*3 1 2"),
+            (vec![1, 2, u64::MAX, u64::MAX], "1 2 18446744073709551615*2"),
+            (vec![4, 4, 5, 6, 6, 7], "4*2 5 6*2 7"),
+            (vec![1, 2, 1, 2, 1], "1 2 1 2 1"),
+        ] {
+            assert_eq!(join(&words), text, "encoding of {words:?}");
+            let back = parse_words(text).expect("decodes");
+            assert_eq!(back, words, "round trip of {text:?}");
+            assert_eq!(join(&back), text, "re-encoding of {text:?}");
+        }
+    }
+
+    #[test]
+    fn run_length_codec_rejects_bad_counts() {
+        // An oversized count must be refused before anything is
+        // allocated: a 2^40-word resize would abort the test process.
+        for text in [
+            "7*0",
+            "7*1",
+            "7*abc",
+            "7*",
+            "*3",
+            "7*2*2",
+            "0*1099511627776",
+            &format!("0*{}", MAX_LINE_WORDS + 1),
+            &format!("1 0*{MAX_LINE_WORDS}"),
+        ] {
+            assert_eq!(parse_words(text), None, "{text:?} must be rejected");
+        }
+        let full = parse_words(&format!("0*{MAX_LINE_WORDS}")).expect("the cap itself fits");
+        assert_eq!(full.len(), MAX_LINE_WORDS);
+    }
+
+    #[test]
+    fn word_cap_covers_every_preset_with_margin() {
+        for config in CoreConfig::all() {
+            let warm = Warmer::new(&config);
+            let largest = [
+                warm.hier.l1i.export_state().len(),
+                warm.hier.l1d.export_state().len(),
+                warm.hier.l2.export_state().len(),
+                warm.bpred.export_state().len(),
+                warm.btb.export_state().len(),
+            ]
+            .into_iter()
+            .max()
+            .unwrap();
+            assert!(
+                2 * largest <= MAX_LINE_WORDS,
+                "{}: a {largest}-word image leaves the cap no margin",
+                config.name
+            );
+        }
+    }
+
+    #[test]
+    fn cold_checkpoint_encodes_under_2_kib() {
+        let w = int_suite(Scale::Smoke).remove(0);
+        let emu = Emulator::new(&w.program);
+        let warm = Warmer::new(&CoreConfig::config2());
+        let ck = Checkpoint::capture(0, &emu, &warm);
+        let text = ck.encode();
+        assert!(
+            text.len() < 2048,
+            "a cold checkpoint encodes to {} bytes",
+            text.len()
+        );
+        assert_eq!(Checkpoint::decode(&mut text.lines()), Some(ck));
     }
 
     #[test]

@@ -619,7 +619,7 @@ impl JobManager {
             json::escape(client),
             spec.to_json()
         );
-        if !cache::write_sealed(&self.job_path(&id), &body, cache::tmp_tag(key)) {
+        if !cache::write_sealed(&self.job_path(&id), &body) {
             return Err(format!("could not persist job envelope for {id}"));
         }
         let ticket = inner.queue.push(priority, id.clone());
@@ -690,8 +690,7 @@ impl JobManager {
             ),
         };
         let body = format!("dmdc-result v1\nstate {}\n{payload}", state.token());
-        let tag = cache::tmp_tag(Fnv64::new().write(id.as_bytes()).finish());
-        cache::write_sealed(&self.result_path(id), &body, tag);
+        cache::write_sealed(&self.result_path(id), &body);
         let mut inner = self.lock();
         if inner.running.as_deref() == Some(id) {
             inner.running = None;

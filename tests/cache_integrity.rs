@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::Arc;
 
-use dmdc::core::cache::{seal, CellCache};
+use dmdc::core::cache::{seal, unseal, CellCache};
 use dmdc::core::experiments::PolicyKind;
 use dmdc::core::runner::{Engine, RunCtx, RunSpec};
 use dmdc::ooo::CoreConfig;
@@ -179,21 +179,23 @@ fn store_line(out: &Output) -> String {
         .to_string()
 }
 
+const SAMPLED_HISTO: &[&str] = &[
+    "run",
+    "--workload",
+    "histo",
+    "--policy",
+    "dmdc-global",
+    "--scale",
+    "default",
+    "--sampled",
+    "--profile",
+];
+
 #[test]
 fn damaged_checkpoints_are_quarantined_and_regenerated() {
     let wd = cache_dir("dmdc-ckpt-integrity-wd");
     std::fs::create_dir_all(&wd).unwrap();
-    const RUN: &[&str] = &[
-        "run",
-        "--workload",
-        "histo",
-        "--policy",
-        "dmdc-global",
-        "--scale",
-        "default",
-        "--sampled",
-        "--profile",
-    ];
+    const RUN: &[&str] = SAMPLED_HISTO;
 
     // Cold: every window misses, fast-forwards, and seals a checkpoint.
     let cold = dmdc(&wd, RUN);
@@ -231,6 +233,13 @@ fn damaged_checkpoints_are_quarantined_and_regenerated() {
         "want quarantine-and-regenerate counters, got: {}",
         store_line(&repair)
     );
+    // Each missed window fast-forwards from the nearest hit before it,
+    // exactly as far as when every hit restored the master emulator.
+    assert!(
+        String::from_utf8_lossy(&repair.stderr).contains(" 30735 insts fast-forwarded"),
+        "repair run fast-forwarded a different span: {}",
+        String::from_utf8_lossy(&repair.stderr)
+    );
     let quarantined = std::fs::read_dir(ckpt_dir.join("quarantine"))
         .expect("quarantine dir exists")
         .flatten()
@@ -247,5 +256,123 @@ fn damaged_checkpoints_are_quarantined_and_regenerated() {
         store_line(&warm).contains("24 hits, 0 misses, 0 stored, 0 corrupt"),
         "repaired store must serve every window, got: {}",
         store_line(&warm)
+    );
+}
+
+/// Re-seals the body of the envelope at `path` after `edit`.
+fn reseal(path: &Path, edit: impl FnOnce(&str) -> String) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let body = unseal(&text).expect("a sealed envelope");
+    std::fs::write(path, seal(&edit(body))).unwrap();
+}
+
+/// Rewrites a version-2 body in the version-1 format: `magic` names the
+/// format line, whose version goes back to 1, and every `v*n` run token
+/// is spelled out as `n` plain words, as version 1 wrote them.
+fn as_v1(body: &str, magic: &str) -> String {
+    let mut out = String::new();
+    for line in body.lines() {
+        let line = match line.strip_prefix(&format!("{magic} v2")) {
+            Some(rest) => format!("{magic} v1{rest}"),
+            None => line.to_string(),
+        };
+        let words: Vec<&str> = line
+            .split(' ')
+            .flat_map(|token| match token.split_once('*') {
+                Some((v, n)) => vec![v; n.parse().unwrap()],
+                None => vec![token],
+            })
+            .collect();
+        out.push_str(&words.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
+/// A working directory whose checkpoint store a cold sampled run has
+/// filled; returns it with the run's report and the sorted entries.
+fn seeded_store(name: &str) -> (PathBuf, String, Vec<PathBuf>) {
+    let wd = cache_dir(name);
+    std::fs::create_dir_all(&wd).unwrap();
+    let reference = stdout(&dmdc(&wd, SAMPLED_HISTO));
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(wd.join("target/dmdc-cache/checkpoints"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), 24, "one sealed checkpoint per window");
+    (wd, reference, entries)
+}
+
+/// Runs over a store holding one bad entry: the entry is quarantined and
+/// regenerated with the report unchanged, and the next run is all hits.
+fn bad_entry_regenerates_once(wd: &Path, reference: &str) {
+    let repair = dmdc(wd, SAMPLED_HISTO);
+    assert_eq!(stdout(&repair), reference, "repair run drifted");
+    assert!(
+        store_line(&repair).contains("23 hits, 1 misses, 1 stored, 1 corrupt, 1 quarantined"),
+        "want quarantine-and-regenerate counters, got: {}",
+        store_line(&repair)
+    );
+    let warm = dmdc(wd, SAMPLED_HISTO);
+    assert_eq!(stdout(&warm), reference, "warm run drifted");
+    assert!(
+        store_line(&warm).contains("24 hits, 0 misses, 0 stored, 0 corrupt"),
+        "repaired store must serve every window, got: {}",
+        store_line(&warm)
+    );
+}
+
+#[test]
+fn oversized_run_in_sealed_checkpoint_is_quarantined() {
+    // A seal that verifies around a body whose run count would expand to
+    // 2^40 words: the decoder must refuse it rather than allocate.
+    let (wd, reference, entries) = seeded_store("dmdc-ckpt-oversized-run-wd");
+    reseal(&entries[5], |body| {
+        let (head, _btb) = body.rsplit_once("btb ").unwrap();
+        format!("{head}btb 0*1099511627776\n")
+    });
+    bad_entry_regenerates_once(&wd, &reference);
+}
+
+#[test]
+fn version_1_checkpoint_is_quarantined_and_regenerated() {
+    let (wd, reference, entries) = seeded_store("dmdc-ckpt-v1-wd");
+    reseal(&entries[7], |body| as_v1(body, "dmdc-ckpt"));
+    bad_entry_regenerates_once(&wd, &reference);
+}
+
+#[test]
+fn version_1_sample_envelope_is_ignored_on_resume() {
+    let wd = cache_dir("dmdc-sample-v1-wd");
+    std::fs::create_dir_all(&wd).unwrap();
+    let reference = stdout(&dmdc(&wd, SAMPLED_HISTO));
+
+    // Killed after 6 of its 24 partial-progress envelopes.
+    let mut crash = SAMPLED_HISTO.to_vec();
+    crash.extend(["--run-id", "v1-kill", "--inject-faults", "kill-after=6"]);
+    assert!(
+        !dmdc(&wd, &crash).status.success(),
+        "the run must be killed"
+    );
+    let samples = dmdc::core::sampling::sample_envelope_dir(&wd.join("target/dmdc-runs/v1-kill"));
+    let envelopes: Vec<PathBuf> = std::fs::read_dir(&samples)
+        .expect("samples dir exists")
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    assert_eq!(envelopes.len(), 1, "one partial-progress envelope");
+    reseal(&envelopes[0], |body| as_v1(body, "dmdc-sample"));
+
+    // The old envelope is not trusted: the cell starts over and still
+    // reproduces the uninterrupted report.
+    let resumed = dmdc(&wd, &["run", "--resume", "v1-kill"]);
+    assert_eq!(stdout(&resumed), reference, "resumed run drifted");
+    let err = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        err.contains(" 0 cells resumed"),
+        "a version-1 envelope must be ignored, got: {err}"
     );
 }
